@@ -21,6 +21,7 @@ from .polymatrix import (
     DimensionError,
     PolyMatrix,
     RatMatrix,
+    SingularMatrixError,
     determinant,
     hstack,
     invert_ratmatrix,
@@ -399,10 +400,16 @@ def statespace_to_io(s: StateSpace) -> IoSystem:
 
 
 def check_io_form(sys: IoSystem) -> bool:
-    """True iff P is invertible and the transfer matrix P^-1 Q is proper."""
-    if determinant(sys.P).is_zero:
+    """True iff P is invertible and the transfer matrix P^-1 Q is proper.
+
+    Decided inside Q[s]: `is_proper` compares the degrees of the Cramer
+    numerators of P^-1 Q with deg det P, all from one fraction-free
+    elimination of [P | Q], so no rational function is formed.
+    """
+    try:
+        return is_proper(sys.P, sys.Q)
+    except SingularMatrixError:
         return False
-    return is_proper(sys.P, sys.Q)
 
 
 def transfer_matrix(s: StateSpace) -> RatMatrix:

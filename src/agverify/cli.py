@@ -4,7 +4,8 @@ Usage pattern: ``agverify COMMAND [names...] FILE [FILE...]`` where the files
 hold definitions in the shared text format and the names refer to them.
 
 Exit codes: 0 when the checked property holds (or output was produced),
-1 when the property fails, 2 on parse or validation errors.
+1 when the property fails, 2 on parse or validation errors, 3 on an internal
+fault (an inexact division or a failed self-check), which decides nothing.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .polymatrix import smith_form
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
+EXIT_INTERNAL = 3
 
 
 @dataclass
@@ -140,7 +142,6 @@ def _kernel_definition(name: str, k: KernelRep) -> str:
 
 def run_command(args: argparse.Namespace, doc: Document) -> Report:
     cmd = args.command
-    start = time.perf_counter()
 
     if cmd == "check-io":
         sys_def = doc.get(args.system, kinds=("statespace", "iosystem"))
@@ -239,7 +240,6 @@ def run_command(args: argparse.Namespace, doc: Document) -> Report:
     else:  # pragma: no cover - argparse restricts the choices
         raise ValueError(f"unknown command {cmd!r}")
 
-    report.elapsed = time.perf_counter() - start
     return report
 
 
@@ -281,6 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    start = time.perf_counter()
     try:
         sources = []
         for f in args.files:
@@ -295,6 +296,10 @@ def main(argv: list[str] | None = None) -> int:
     except (DocumentError, IoFormError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except (ArithmeticError, RuntimeError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    report.elapsed = time.perf_counter() - start
     if args.format == "json":
         print(report.render_json(quiet=args.quiet))
     else:

@@ -1,12 +1,14 @@
 """Matrices over Q[s]: arithmetic, determinants, generic rank, inversion and
 the Smith canonical form.
 
-Everything is exact. Elimination over the fraction field Q(s) backs the rank
-and inversion routines; the determinant uses fraction-free (Bareiss)
-elimination so it never leaves the polynomial ring; the Smith reduction works
-with elementary row/column operations over the Euclidean domain Q[s] and
-tracks the transforms *and their inverses* as it goes, which is what the
-behavioural decision procedures downstream consume.
+Everything is exact. One fraction-free (Bareiss) elimination backs the
+determinant, the generic rank and the properness test, so none of them
+leaves the polynomial ring; the Smith reduction works with elementary
+row/column operations over the Euclidean domain Q[s] and tracks the
+transforms *and their inverses* as it goes, which is what the behavioural
+decision procedures downstream consume. `RatMatrix` and `invert_ratmatrix`
+compute over the fraction field Q(s); they back only `behavior.transfer_matrix`,
+an independent cross-check of state elimination, and no decision uses them.
 """
 
 from __future__ import annotations
@@ -234,6 +236,48 @@ def _exact_div(a: Poly, b: Poly) -> Poly:
     return q
 
 
+def _fraction_free(a: list[list[Poly]], ncols: int, jordan: bool = False) -> tuple[int, int]:
+    """Fraction-free (Bareiss) row elimination of the grid ``a``, in place.
+
+    Scans columns ``0..ncols-1``; each pivots on its first nonzero entry at or
+    below the current rank, and a column without one is skipped. Every other
+    row below the pivot (with ``jordan``, above it too) becomes
+    (pivot * row - entry * pivot_row) / previous_pivot. Each entry stays a
+    minor of the input, so the division is exact (Bareiss, Math. Comp. 22,
+    1968; Nakos, Turner & Williams, SIGSAM Bull. 31, 1997, for the skipped
+    columns and the Gauss-Jordan form). After a full-rank Gauss-Jordan pass
+    on [P | Q] the last pivot is +-det P and the right block +-det(P) P^-1 Q.
+
+    Returns the rank of the scanned columns and the sign of the row
+    permutation.
+    """
+    rows = len(a)
+    width = len(a[0]) if a else 0
+    rank, sign, prev = 0, 1, ONE
+    for c in range(ncols):
+        if rank == rows:
+            break
+        piv = next((i for i in range(rank, rows) if not a[i][c].is_zero), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            sign = -sign
+        prow = a[rank]
+        pivot = prow[c]
+        for i in range(0 if jordan else rank + 1, rows):
+            if i == rank:
+                continue
+            row = a[i]
+            f = row[c]
+            for j in range(c + 1, width):
+                row[j] = _exact_div(row[j] * pivot - f * prow[j], prev)
+            row[c] = ZERO
+        prev = pivot
+        rank += 1
+    return rank, sign
+
+
 def determinant(P: PolyMatrix) -> Poly:
     """Exact determinant by fraction-free (Bareiss) elimination.
 
@@ -245,23 +289,9 @@ def determinant(P: PolyMatrix) -> Poly:
     if n == 0:
         return ONE
     a = [list(row) for row in P.entries]
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if a[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return ZERO
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = _exact_div(a[i][j] * pivot - a[i][k] * a[k][j], prev)
-            a[i][k] = ZERO
-        prev = pivot
+    rank, sign = _fraction_free(a, n)
+    if rank < n:
+        return ZERO
     det = a[n - 1][n - 1]
     return det if sign == 1 else -det
 
@@ -270,28 +300,9 @@ def rank_generic(R: PolyMatrix) -> int:
     """Rank of R over the field of rational functions Q(s).
 
     Equals the rank of R(x) at all but finitely many evaluation points.
+    Computed by fraction-free elimination, so it never leaves Q[s].
     """
-    a = [[RatFunc(e) for e in row] for row in R.entries]
-    rows, cols = R.rows, R.cols
-    rank = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(rank, rows):
-            if not a[i][c].is_zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        pivot = a[rank][c]
-        for i in range(rank + 1, rows):
-            if not a[i][c].is_zero:
-                f = a[i][c] / pivot
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return _fraction_free([list(row) for row in R.entries], R.cols)[0]
 
 
 def is_unimodular(P: PolyMatrix) -> bool:
@@ -551,17 +562,6 @@ class RatMatrix:
             out.append(out_row)
         return RatMatrix(out, cols=other.cols)
 
-    @property
-    def is_proper(self) -> bool:
-        return all(e.is_proper for row in self.entries for e in row)
-
-    @property
-    def is_polynomial(self) -> bool:
-        return all(e.is_polynomial for row in self.entries for e in row)
-
-    def as_polymatrix(self) -> PolyMatrix:
-        return PolyMatrix([[e.as_poly() for e in row] for row in self.entries], cols=self.cols)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatMatrix):
             return NotImplemented
@@ -607,7 +607,22 @@ def invert_ratmatrix(P: PolyMatrix) -> RatMatrix:
 
 
 def is_proper(P: PolyMatrix, Q: PolyMatrix) -> bool:
-    """True iff every entry of P^-1 Q is a proper rational function."""
+    """True iff every entry of P^-1 Q is a proper rational function.
+
+    By Cramer's rule entry (i, j) of P^-1 Q is det(P with column i replaced
+    by column j of Q) / det P, so it is proper iff that numerator has degree
+    at most deg det P. One fraction-free Gauss-Jordan pass on [P | Q] yields
+    det P as its last pivot and every numerator in the right block, without
+    leaving Q[s]. Raises `SingularMatrixError` when det P = 0 and
+    `DimensionError` when P is not square or the row counts differ.
+    """
     if P.rows != Q.rows:
         raise DimensionError("P and Q must have the same number of rows")
-    return (invert_ratmatrix(P) * Q).is_proper
+    if not P.is_square:
+        raise DimensionError(f"inverse of non-square {P.shape_str()} matrix")
+    n = P.rows
+    a = [list(p) + list(q) for p, q in zip(P.entries, Q.entries)]
+    if _fraction_free(a, n, jordan=True)[0] < n:
+        raise SingularMatrixError("matrix is not invertible (zero determinant)")
+    bound = a[n - 1][n - 1].degree if n else 0
+    return all(e.degree <= bound for row in a for e in row[n:])

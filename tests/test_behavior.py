@@ -25,7 +25,7 @@ from agverify.behavior import (
     transfer_matrix,
 )
 from agverify.polyalg import ONE, S, ZERO
-from agverify.polymatrix import PolyMatrix, RatMatrix, rank_generic
+from agverify.polymatrix import PolyMatrix, rank_generic
 from support import (
     eval_matrix,
     fraction_rank,
@@ -174,7 +174,6 @@ class TestStateSpaceConversion:
         for _ in range(25):
             sp = random_statespace(rng, max_n=3)
             io = statespace_to_io(sp)
-            lhs = RatMatrix.from_polymatrix(io.P)
             assert check_io_form(io)
             from agverify.polymatrix import invert_ratmatrix
 

@@ -1,9 +1,12 @@
 """Command-line interface: commands, exit codes, output formats."""
 
 import json
+import time
 
+import pytest
 
 import agverify
+from agverify import cli
 from agverify.cli import main
 from agverify.docparse import parse_document, parse_matrix_text
 
@@ -48,6 +51,23 @@ class TestExitCodes:
     def test_missing_file_is_two(self, capsys):
         code, _, err = run(capsys, "implements", "S", "C", "/nonexistent/x.ag")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, target, fault",
+        [
+            (("implements", "S", "C"), "implements", ArithmeticError("inexact division")),
+            (("check-io", "S"), "statespace_to_io", RuntimeError("self-check failed")),
+        ],
+    )
+    def test_internal_fault_is_three(self, capsys, monkeypatch, command, target, fault):
+        def broken(*args):
+            raise fault
+
+        monkeypatch.setattr(cli, target, broken)
+        code, out, err = run(capsys, *command, *CORPUS)
+        assert code == 3
+        assert out == ""
+        assert err == f"internal error: {fault}\n"
 
 
 class TestCommands:
@@ -147,6 +167,17 @@ class TestJsonFormat:
         a, b = json.loads(out1), json.loads(out2)
         a.pop("elapsed_seconds"), b.pop("elapsed_seconds")
         assert a == b
+
+    def test_elapsed_includes_parsing(self, capsys, monkeypatch):
+        parse = cli.parse_documents
+
+        def slow_parse(sources):
+            time.sleep(0.05)
+            return parse(sources)
+
+        monkeypatch.setattr(cli, "parse_documents", slow_parse)
+        _, out, _ = run(capsys, "check-io", "S", "--format", "json", *CORPUS)
+        assert json.loads(out)["elapsed_seconds"] >= 0.05
 
     def test_quiet_json(self, capsys):
         _, out, _ = run(capsys, "refines", "C", "C0", "--format", "json", "--quiet", *CORPUS)

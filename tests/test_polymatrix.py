@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from agverify.polyalg import ONE, S, ZERO, RatFunc
+from agverify.polyalg import ONE, S, ZERO, Poly, RatFunc
 from agverify.polymatrix import (
     DimensionError,
     PolyMatrix,
@@ -21,7 +22,58 @@ from agverify.polymatrix import (
     smith_form,
     vstack,
 )
-from support import det_cofactor, random_matrix, random_unimodular
+from support import det_cofactor, eval_matrix, fraction_rank, random_matrix, random_unimodular
+
+
+@st.composite
+def poly_matrices(draw, rows, cols, max_deg=2):
+    coeffs = st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=max_deg + 1)
+    entry = coeffs.map(Poly)
+    return PolyMatrix([[draw(entry) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+@st.composite
+def proper_instances(draw):
+    """(P, Q) with P square; P is forced singular and Q gets zero columns
+    often enough that every branch of the decision is exercised."""
+    n = draw(st.integers(min_value=0, max_value=3))
+    P = draw(poly_matrices(n, n, draw(st.integers(min_value=0, max_value=2))))
+    if n and draw(st.integers(min_value=0, max_value=3)) == 0:
+        rows = list(P.entries)
+        factor = draw(poly_matrices(1, 1, 1))[0, 0]
+        rows[-1] = tuple(e * factor for e in rows[0])
+        P = PolyMatrix(rows, cols=n)
+    m = draw(st.integers(min_value=0, max_value=3))
+    Q = draw(poly_matrices(n, m, draw(st.integers(min_value=0, max_value=3))))
+    zero_cols = draw(st.sets(st.integers(min_value=0, max_value=max(m - 1, 0)), max_size=m))
+    Q = PolyMatrix(
+        [[ZERO if j in zero_cols else e for j, e in enumerate(row)] for row in Q.entries],
+        cols=m,
+    )
+    return P, Q
+
+
+@st.composite
+def rank_instances(draw):
+    """m x n matrices, 0 rows and 0 columns included. Half are a product
+    through an inner dimension below min(m, n), so their rank is deficient;
+    half have a column that is a multiple of the first, so elimination must
+    skip a column that has no pivot."""
+    m = draw(st.integers(min_value=0, max_value=4))
+    n = draw(st.integers(min_value=0, max_value=4))
+    if min(m, n) > 0 and draw(st.booleans()):
+        k = draw(st.integers(min_value=0, max_value=min(m, n) - 1))
+        R = draw(poly_matrices(m, k, 1)) * draw(poly_matrices(k, n, 1))
+    else:
+        R = draw(poly_matrices(m, n, 2))
+    if n > 1 and draw(st.booleans()):
+        j = draw(st.integers(min_value=1, max_value=n - 1))
+        f = draw(poly_matrices(1, 1, 1))[0, 0]
+        R = PolyMatrix(
+            [[row[0] * f if c == j else e for c, e in enumerate(row)] for row in R.entries],
+            cols=n,
+        )
+    return R
 
 
 class TestArithmetic:
@@ -122,6 +174,19 @@ class TestRank:
                     if hits == 5:
                         break
             assert hits == 5
+
+
+class TestRankOracle:
+    @settings(deadline=None)
+    @given(rank_instances())
+    def test_matches_evaluation(self, R):
+        # A nonzero r x r minor has degree <= min(m, n) * d, so it vanishes at
+        # no more than that many points: the largest rank over one more
+        # distinct points is the generic rank exactly.
+        d = max(0, R.degree)
+        points = [Fraction(x) for x in range(min(R.rows, R.cols) * d + 1)]
+        want = max(fraction_rank(eval_matrix(R, x)) for x in points)
+        assert rank_generic(R) == want
 
 
 class TestUnimodular:
@@ -252,6 +317,21 @@ class TestProper:
     def test_singular_p(self):
         with pytest.raises(SingularMatrixError):
             is_proper(PolyMatrix([[ZERO]]), PolyMatrix([[ONE]]))
+
+    @settings(deadline=None)
+    @given(proper_instances())
+    @example((PolyMatrix([], cols=0), PolyMatrix([], cols=2)))
+    def test_matches_inversion_oracle(self, instance):
+        # The oracle forms P^-1 Q over Q(s) and tests each entry.
+        P, Q = instance
+        try:
+            inverse = invert_ratmatrix(P)
+        except SingularMatrixError:
+            with pytest.raises(SingularMatrixError):
+                is_proper(P, Q)
+            return
+        want = all(e.is_proper for row in (inverse * Q).entries for e in row)
+        assert is_proper(P, Q) == want
 
     def test_hstack_shapes(self):
         h = hstack(PolyMatrix.identity(2), PolyMatrix.zeros(2, 1))
