@@ -65,6 +65,7 @@ from .polymatrix import (
     is_proper,
     is_unimodular,
     rank_generic,
+    row_echelon,
     smith_form,
     vstack,
 )

@@ -7,12 +7,13 @@ input-output form), conversions between them by exact latent-variable
 elimination, and the central decision procedure `behavior_included`, which
 decides containment of one behavior in another and produces a polynomial
 multiplier certificate that third parties can re-check by a single matrix
-multiplication.
+multiplication. Minimization, elimination and inclusion all run on one
+one-sided reduction, `polymatrix.row_echelon`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -27,7 +28,10 @@ from .polymatrix import (
     invert_ratmatrix,
     is_proper,
     rank_generic,
-    smith_form,
+    row_echelon,
+    # No decision here uses it; perfbench/test_instances.py::
+    # test_tracer_restores_every_original expects to find it in this module.
+    smith_form,  # noqa: F401
     vstack,
 )
 
@@ -52,6 +56,7 @@ def signal_dim(labels: Signals) -> int:
     return sum(dim for _, dim in labels)
 
 
+@dataclass(frozen=True, slots=True)
 class KernelRep:
     """Behavior {w : R(d/dt) w = 0} over named signal blocks.
 
@@ -60,26 +65,18 @@ class KernelRep:
     checked to have full generic row rank.
     """
 
-    __slots__ = ("R", "signal_labels", "minimal")
-
     R: PolyMatrix
     signal_labels: Signals
-    minimal: bool
+    minimal: bool = False
 
-    def __init__(self, R: PolyMatrix, signal_labels: Iterable, minimal: bool = False):
-        labels = _signals(signal_labels)
-        if R.cols != signal_dim(labels):
+    def __post_init__(self):
+        object.__setattr__(self, "signal_labels", _signals(self.signal_labels))
+        if self.R.cols != self.dim:
             raise DimensionError(
-                f"matrix has {R.cols} columns but signals span {signal_dim(labels)} dimensions"
+                f"matrix has {self.R.cols} columns but signals span {self.dim} dimensions"
             )
-        if minimal and rank_generic(R) != R.rows:
+        if self.minimal and rank_generic(self.R) != self.R.rows:
             raise ValueError("representation flagged minimal but rows are dependent")
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "signal_labels", labels)
-        object.__setattr__(self, "minimal", minimal)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KernelRep is immutable")
 
     @property
     def dim(self) -> int:
@@ -89,60 +86,29 @@ class KernelRep:
         """Same matrix over a relabeled signal space of equal dimension."""
         return KernelRep(self.R, labels, minimal=self.minimal)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, KernelRep):
-            return NotImplemented
-        return (
-            self.R == other.R
-            and self.signal_labels == other.signal_labels
-            and self.minimal == other.minimal
-        )
-
-    def __hash__(self) -> int:
-        return hash(("KernelRep", self.R, self.signal_labels, self.minimal))
-
     def __repr__(self) -> str:
         sig = ", ".join(f"{n}:{d}" for n, d in self.signal_labels)
         return f"KernelRep({self.R} over {sig})"
 
 
+@dataclass(frozen=True, slots=True)
 class LatentRep:
     """Behavior {w : exists l with manifest(d/dt) w = latent_map(d/dt) l}."""
-
-    __slots__ = ("manifest", "latent_map", "signal_labels")
 
     manifest: PolyMatrix
     latent_map: PolyMatrix
     signal_labels: Signals
 
-    def __init__(self, manifest: PolyMatrix, latent_map: PolyMatrix, signal_labels: Iterable):
-        labels = _signals(signal_labels)
-        if manifest.cols != signal_dim(labels):
+    def __post_init__(self):
+        object.__setattr__(self, "signal_labels", _signals(self.signal_labels))
+        if self.manifest.cols != signal_dim(self.signal_labels):
             raise DimensionError("manifest matrix does not match the signal space")
-        if manifest.rows != latent_map.rows:
+        if self.manifest.rows != self.latent_map.rows:
             raise DimensionError("manifest and latent matrices must have equal row counts")
-        object.__setattr__(self, "manifest", manifest)
-        object.__setattr__(self, "latent_map", latent_map)
-        object.__setattr__(self, "signal_labels", labels)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LatentRep is immutable")
 
     @property
     def latent_dim(self) -> int:
         return self.latent_map.cols
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LatentRep):
-            return NotImplemented
-        return (self.manifest, self.latent_map, self.signal_labels) == (
-            other.manifest,
-            other.latent_map,
-            other.signal_labels,
-        )
-
-    def __hash__(self) -> int:
-        return hash(("LatentRep", self.manifest, self.latent_map, self.signal_labels))
 
     def __repr__(self) -> str:
         return f"LatentRep({self.manifest} = {self.latent_map} * latent)"
@@ -156,18 +122,18 @@ def _constant_matrix(M: PolyMatrix, what: str) -> PolyMatrix:
     return M
 
 
+@dataclass(frozen=True, slots=True)
 class StateSpace:
     """First-order system dx/dt = A x + B u, y = C x + D u with rational
     constant matrices (stored as degree-0 polynomial matrices)."""
-
-    __slots__ = ("A", "B", "C", "D")
 
     A: PolyMatrix
     B: PolyMatrix
     C: PolyMatrix
     D: PolyMatrix
 
-    def __init__(self, A: PolyMatrix, B: PolyMatrix, C: PolyMatrix, D: PolyMatrix):
+    def __post_init__(self):
+        A, B, C, D = self.A, self.B, self.C, self.D
         if not A.is_square:
             raise DimensionError("state matrix must be square")
         n = A.rows
@@ -181,13 +147,6 @@ class StateSpace:
             raise DimensionError("feedthrough columns must match the input dimension")
         for name, M in (("A", A), ("B", B), ("C", C), ("D", D)):
             _constant_matrix(M, f"state-space matrix {name}")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StateSpace is immutable")
 
     @classmethod
     def from_lists(cls, A, B, C, D) -> "StateSpace":
@@ -208,18 +167,11 @@ class StateSpace:
     def p(self) -> int:
         return self.C.rows
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StateSpace):
-            return NotImplemented
-        return (self.A, self.B, self.C, self.D) == (other.A, other.B, other.C, other.D)
-
-    def __hash__(self) -> int:
-        return hash(("StateSpace", self.A, self.B, self.C, self.D))
-
     def __repr__(self) -> str:
         return f"StateSpace(A={self.A}, B={self.B}, C={self.C}, D={self.D})"
 
 
+@dataclass(frozen=True, slots=True)
 class IoSystem:
     """System P(d/dt) y = Q(d/dt) u.
 
@@ -227,21 +179,14 @@ class IoSystem:
     P^-1 Q is proper; `check_io_form` decides this.
     """
 
-    __slots__ = ("P", "Q")
-
     P: PolyMatrix
     Q: PolyMatrix
 
-    def __init__(self, P: PolyMatrix, Q: PolyMatrix):
-        if not P.is_square:
+    def __post_init__(self):
+        if not self.P.is_square:
             raise DimensionError("output-side matrix must be square")
-        if Q.rows != P.rows:
+        if self.Q.rows != self.P.rows:
             raise DimensionError("P and Q must have equal row counts")
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "Q", Q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IoSystem is immutable")
 
     @property
     def m(self) -> int:
@@ -259,14 +204,6 @@ class IoSystem:
         if self.p:
             labels.append(("y", self.p))
         return KernelRep(hstack(-self.Q, self.P), labels)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IoSystem):
-            return NotImplemented
-        return (self.P, self.Q) == (other.P, other.Q)
-
-    def __hash__(self) -> int:
-        return hash(("IoSystem", self.P, self.Q))
 
     def __repr__(self) -> str:
         return f"IoSystem(P={self.P}, Q={self.Q})"
@@ -305,6 +242,25 @@ class Verdict:
     def __bool__(self) -> bool:
         return self.holds
 
+    @classmethod
+    def combine(cls, *sides: tuple[str, str, "Verdict"]) -> "Verdict":
+        """Conjunction of (label, diagnostic prefix, verdict) sides.
+
+        Holds iff every side holds, and then carries each side's witnesses
+        relabeled with its label. Otherwise it carries no witness, and every
+        diagnostic of a failing side, behind that side's prefix.
+        """
+        holds = all(v.holds for _, _, v in sides)
+        witnesses = (
+            tuple(replace(w, label=label) for label, _, v in sides for w in v.witnesses)
+            if holds
+            else ()
+        )
+        diagnostics = tuple(
+            prefix + d for _, prefix, v in sides if not v.holds for d in v.diagnostics
+        )
+        return cls(holds, witnesses, diagnostics)
+
     def witness(self, label: str) -> InclusionWitness:
         for w in self.witnesses:
             if w.label == label:
@@ -315,40 +271,31 @@ class Verdict:
 def minimal_kernel(k: KernelRep) -> KernelRep:
     """Equivalent representation whose matrix has full generic row rank.
 
-    Computed from the Smith form: with R = U [D 0; 0 0] V, the nonzero rows
-    of [D 0; 0 0] V cut out the same kernel, one row per invariant factor.
-    Rows are rescaled so their first nonzero entry is monic; this is only a
-    cosmetic normalization, minimal representations remain unique just up to
-    a unimodular left factor.
+    `row_echelon` reduces R by unimodular row operations, which keep its row
+    module and hence its kernel; the nonzero echelon rows, one per pivot,
+    span that module and are independent. Each starts with a monic pivot.
+    Minimal representations are unique only up to a unimodular left factor.
     """
     if k.minimal:
         return k
-    sd = smith_form(k.R)
-    rows = []
-    for i in range(sd.rank):
-        d = sd.invariant_factors[i]
-        row = [d * e for e in sd.V.entries[i]]
-        for e in row:
-            if not e.is_zero:
-                if e.lc != 1:
-                    row = [x / e.lc for x in row]
-                break
-        rows.append(row)
-    return KernelRep(PolyMatrix(rows, cols=k.R.cols), k.signal_labels, minimal=True)
+    a = [list(row) for row in k.R.entries]
+    rank = len(row_echelon(a, k.R.cols))
+    return KernelRep(PolyMatrix(a[:rank], cols=k.R.cols), k.signal_labels, minimal=True)
 
 
 def eliminate_latent(l: LatentRep) -> KernelRep:
     """Project a latent-variable representation onto its manifest signals.
 
-    With W the inverse of the row transform of the Smith form of the latent
-    map E, the rows of W*E below the rank are zero, so the matching rows of
-    W*manifest constrain w independently of the latent signal; since a full
-    generic row rank differential operator is surjective on smooth functions,
-    those rows describe the projected behavior exactly.
+    Reducing [E | manifest] to echelon form on the columns of the latent map
+    E gives W E = [H; 0] and W manifest = [M1; M2] for a unimodular W. Every
+    w with M2 w = 0 has a latent l with H l = M1 w, because H has full row
+    rank and so is surjective on smooth functions; the rows M2 below the rank
+    therefore describe the projected behavior exactly.
     """
-    sd = smith_form(l.latent_map)
-    WR = sd.U_inv * l.manifest
-    kept = WR.take_rows(range(sd.rank, WR.rows))
+    E, M = l.latent_map, l.manifest
+    a = [list(e) + list(m) for e, m in zip(E.entries, M.entries)]
+    rank = len(row_echelon(a, E.cols))
+    kept = PolyMatrix([row[E.cols:] for row in a[rank:]], cols=M.cols)
     return minimal_kernel(KernelRep(kept, l.signal_labels))
 
 
@@ -421,82 +368,66 @@ def transfer_matrix(s: StateSpace) -> RatMatrix:
 def behavior_included(r1: KernelRep, r2: KernelRep) -> Verdict:
     """Decide ker r1 contained-in ker r2, with a multiplier certificate.
 
-    Inclusion holds iff r2.R factors as M * r1.R for a polynomial M. The
-    test runs on the Smith form of r1.R (which simultaneously minimizes r1,
-    so a rank-deficient r1 is fine): writing r1.R = U [D 0; 0 0] V and
-    X = r2.R * V^-1, inclusion holds iff
-      1. the columns of X beyond the rank are zero, and
-      2. column j of X is divisible by the j-th invariant factor.
-    On success the witness is assembled against the *original* r1.R, so the
-    certificate can be re-checked without re-running any part of this
-    procedure. On failure the diagnostics name the violated condition and
-    the first offending entry.
+    Inclusion holds iff r2.R factors as M * r1.R for a polynomial M.
+    Reducing [r1.R | I] to echelon form gives H = W * r1.R for a unimodular
+    W: the r nonzero rows of H span the row module of r1.R and are
+    independent, so a rank-deficient r1 is fine. Each row of r2.R is then
+    solved against H by forward substitution along the pivot columns: at
+    each pivot the multiplier entry is the quotient by the monic pivot,
+    which must be exact, and after the last pivot nothing may remain. On
+    success the witness X * W_top is assembled against the *original* r1.R,
+    so the certificate can be re-checked without re-running any part of this
+    procedure. On failure the diagnostic names the first offending entry.
     """
     if r1.signal_labels != r2.signal_labels:
         raise SignalSpaceError(
             f"signal spaces differ: {r1.signal_labels} vs {r2.signal_labels}"
         )
-    sd = smith_form(r1.R)
-    r = sd.rank
-    X = r2.R * sd.V_inv
-    q = X.rows
-
-    for j in range(r, X.cols):
-        for i in range(q):
-            if not X.entries[i][j].is_zero:
-                return Verdict(
-                    holds=False,
-                    diagnostics=(
-                        "kernel-complement block is nonzero: candidate multiplier would "
-                        f"have to annihilate column {j} but row {i} carries {X.entries[i][j]}",
-                    ),
-                )
-
-    quotient_cols: list[list[Poly]] = []
-    for j in range(r):
-        d = sd.invariant_factors[j]
-        col = []
-        for i in range(q):
-            quot, rem = divmod(X.entries[i][j], d)
+    n, m = r1.R.cols, r1.R.rows
+    a = [list(row) + list(e) for row, e in zip(r1.R.entries, PolyMatrix.identity(m).entries)]
+    pivots = row_echelon(a, n)
+    X = []
+    for i, target in enumerate(r2.R.entries):
+        rest = list(target)
+        x = []
+        for k, c in enumerate(pivots):
+            quot, rem = divmod(rest[c], a[k][c])
             if not rem.is_zero:
                 return Verdict(
                     holds=False,
                     diagnostics=(
-                        f"multiplier is not polynomial: entry ({i}, {j}) requires dividing "
-                        f"{X.entries[i][j]} by the invariant factor {d}, remainder {rem}",
+                        f"multiplier is not polynomial: row {i} requires dividing {rest[c]} "
+                        f"by the pivot {a[k][c]} in column {c}, remainder {rem}",
                     ),
                 )
-            col.append(quot)
-        quotient_cols.append(col)
-
-    M_min = PolyMatrix([[quotient_cols[j][i] for j in range(r)] for i in range(q)], cols=r)
-    U_inv_top = sd.U_inv.take_rows(range(r))
+            if not quot.is_zero:
+                rest = [e - quot * h for e, h in zip(rest, a[k][:n])]
+            x.append(quot)
+        for j, e in enumerate(rest):
+            if not e.is_zero:
+                return Verdict(
+                    holds=False,
+                    diagnostics=(
+                        "no polynomial multiplier exists: after the last pivot "
+                        f"row {i} still carries {e} in column {j}",
+                    ),
+                )
+        X.append(x)
+    W_top = PolyMatrix([row[n:] for row in a[: len(pivots)]], cols=m)
     witness = InclusionWitness(
-        multiplier=M_min * U_inv_top, source=r1.R, target=r2.R, label="inclusion"
+        multiplier=PolyMatrix(X, cols=len(pivots)) * W_top,
+        source=r1.R,
+        target=r2.R,
+        label="inclusion",
     )
     return Verdict(holds=True, witnesses=(witness,))
 
 
 def behavior_equal(r1: KernelRep, r2: KernelRep) -> Verdict:
     """Mutual inclusion; carries one witness per direction."""
-    fwd = behavior_included(r1, r2)
-    bwd = behavior_included(r2, r1)
-    witnesses = []
-    diagnostics = []
-    if fwd.holds:
-        w = fwd.witnesses[0]
-        witnesses.append(InclusionWitness(w.multiplier, w.source, w.target, label="forward"))
-    else:
-        diagnostics.extend(f"forward inclusion fails: {d}" for d in fwd.diagnostics)
-    if bwd.holds:
-        w = bwd.witnesses[0]
-        witnesses.append(InclusionWitness(w.multiplier, w.source, w.target, label="backward"))
-    else:
-        diagnostics.extend(f"backward inclusion fails: {d}" for d in bwd.diagnostics)
-    return Verdict(
-        holds=fwd.holds and bwd.holds,
-        witnesses=tuple(witnesses) if fwd.holds and bwd.holds else (),
-        diagnostics=tuple(diagnostics),
+    return Verdict.combine(
+        ("forward", "forward inclusion fails: ", behavior_included(r1, r2)),
+        ("backward", "backward inclusion fails: ", behavior_included(r2, r1)),
     )
 
 

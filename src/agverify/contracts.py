@@ -18,8 +18,9 @@ the underlying inclusions:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .behavior import (
-    InclusionWitness,
     IoSystem,
     KernelRep,
     LatentRep,
@@ -40,21 +41,17 @@ class IoFormError(ValueError):
     """A system offered as an implementation is not in input-output form."""
 
 
+@dataclass(frozen=True, slots=True)
 class Contract:
     """Pair of assumptions (over the input signals) and guarantees (over the
     output signals); both are stored minimized."""
 
-    __slots__ = ("assumptions", "guarantees")
-
     assumptions: KernelRep
     guarantees: KernelRep
 
-    def __init__(self, assumptions: KernelRep, guarantees: KernelRep):
-        object.__setattr__(self, "assumptions", minimal_kernel(assumptions))
-        object.__setattr__(self, "guarantees", minimal_kernel(guarantees))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Contract is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "assumptions", minimal_kernel(self.assumptions))
+        object.__setattr__(self, "guarantees", minimal_kernel(self.guarantees))
 
     @property
     def input_dim(self) -> int:
@@ -64,24 +61,13 @@ class Contract:
     def output_dim(self) -> int:
         return self.guarantees.dim
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Contract):
-            return NotImplemented
-        return (
-            self.assumptions == other.assumptions and self.guarantees == other.guarantees
-        )
-
-    def __hash__(self) -> int:
-        return hash(("Contract", self.assumptions, self.guarantees))
-
     def __repr__(self) -> str:
         return f"Contract(assumptions={self.assumptions!r}, guarantees={self.guarantees!r})"
 
 
 def env_compatible(env: KernelRep, c: Contract) -> Verdict:
     """Is every input produced by env admitted by the contract's assumptions?"""
-    verdict = behavior_included(env, c.assumptions)
-    return _relabel(verdict, "assumptions")
+    return Verdict.combine(("assumptions", "", behavior_included(env, c.assumptions)))
 
 
 def implements(sys: IoSystem | StateSpace, c: Contract) -> Verdict:
@@ -102,7 +88,7 @@ def implements(sys: IoSystem | StateSpace, c: Contract) -> Verdict:
         )
     constrained = interconnect(c.assumptions, sys)
     verdict = behavior_included(constrained, c.guarantees.with_signal_labels(constrained.signal_labels))
-    return _relabel(verdict, "guarantees")
+    return Verdict.combine(("guarantees", "", verdict))
 
 
 def refines(c1: Contract, c2: Contract) -> Verdict:
@@ -115,20 +101,12 @@ def refines(c1: Contract, c2: Contract) -> Verdict:
     """
     if c1.input_dim != c2.input_dim or c1.output_dim != c2.output_dim:
         raise DimensionError("contracts have different input/output dimensions")
-    a_side = behavior_included(c2.assumptions, c1.assumptions)
-    g_side = behavior_included(c1.guarantees, c2.guarantees)
-    witnesses = []
-    diagnostics = []
-    if a_side.holds:
-        witnesses.append(_with_label(a_side.witnesses[0], "assumptions"))
-    else:
-        diagnostics.extend(f"assumption inclusion fails: {d}" for d in a_side.diagnostics)
-    if g_side.holds:
-        witnesses.append(_with_label(g_side.witnesses[0], "guarantees"))
-    else:
-        diagnostics.extend(f"guarantee inclusion fails: {d}" for d in g_side.diagnostics)
-    ok = a_side.holds and g_side.holds
-    return Verdict(holds=ok, witnesses=tuple(witnesses) if ok else (), diagnostics=tuple(diagnostics))
+    return Verdict.combine(
+        ("assumptions", "assumption inclusion fails: ",
+         behavior_included(c2.assumptions, c1.assumptions)),
+        ("guarantees", "guarantee inclusion fails: ",
+         behavior_included(c1.guarantees, c2.guarantees)),
+    )
 
 
 def join_assumptions(a1: KernelRep, a2: KernelRep) -> KernelRep:
@@ -173,18 +151,4 @@ def conjunction(c1: Contract, c2: Contract) -> Contract:
     return Contract(
         join_assumptions(c1.assumptions, c2.assumptions),
         meet_guarantees(c1.guarantees, c2.guarantees),
-    )
-
-
-def _with_label(w: InclusionWitness, label: str) -> InclusionWitness:
-    return InclusionWitness(w.multiplier, w.source, w.target, label=label)
-
-
-def _relabel(verdict: Verdict, label: str) -> Verdict:
-    if not verdict.holds:
-        return verdict
-    return Verdict(
-        holds=True,
-        witnesses=tuple(_with_label(w, label) for w in verdict.witnesses),
-        diagnostics=verdict.diagnostics,
     )

@@ -16,9 +16,10 @@ Grammar (EBNF sketch, ``#`` starts a line comment):
     term       := coef "*" "s" ["^" INT] | "s" ["^" INT] | coef
     coef       := INT | INT "/" INT
 
-Rational coefficients are preserved exactly. Everything the toolkit prints
-(witness matrices, eliminated kernels, conjoined contracts) uses this same
-grammar, so outputs can be fed back in as inputs.
+The exponent after "^" is at most `MAX_EXPONENT`. Rational coefficients are
+preserved exactly. Everything the toolkit prints (witness matrices,
+eliminated kernels, conjoined contracts) uses this same grammar, so outputs
+can be fed back in as inputs.
 """
 
 from __future__ import annotations
@@ -30,6 +31,12 @@ from .behavior import IoSystem, KernelRep, LatentRep, StateSpace
 from .contracts import Contract
 from .polyalg import Poly
 from .polymatrix import PolyMatrix
+
+
+# Largest N accepted in ``s^N``. The power is stored densely as N + 1
+# coefficients, so an unbounded exponent would let a few bytes of input
+# exhaust memory; a larger one is a `ParseError`.
+MAX_EXPONENT = 1000
 
 
 class DocumentError(ValueError):
@@ -72,22 +79,9 @@ class Definition:
     name: str
     value: object
     refs: tuple[str, ...] = ()
-    source: str = "<string>"
-    line: int = 0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Definition):
-            return NotImplemented
-        # Source locations are bookkeeping, not content.
-        return (self.kind, self.name, self.value, self.refs) == (
-            other.kind,
-            other.name,
-            other.value,
-            other.refs,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.name, self.refs))
+    # Source locations are bookkeeping, not content.
+    source: str = field(default="<string>", compare=False)
+    line: int = field(default=0, compare=False)
 
 
 @dataclass
@@ -257,7 +251,11 @@ class _Parser:
     def parse_power(self) -> int:
         if self.peek().kind == "CARET":
             self.next()
-            return self.parse_int()
+            tok = self.peek()
+            power = self.parse_int()
+            if power > MAX_EXPONENT:
+                raise self.error(f"exponent {power} exceeds the maximum {MAX_EXPONENT}", tok)
+            return power
         return 1
 
     def parse_poly(self) -> Poly:

@@ -1,14 +1,17 @@
-"""Matrices over Q[s]: arithmetic, determinants, generic rank, inversion and
-the Smith canonical form.
+"""Matrices over Q[s]: arithmetic, determinants, generic rank, row echelon
+form, inversion and the Smith canonical form.
 
 Everything is exact. One fraction-free (Bareiss) elimination backs the
 determinant, the generic rank and the properness test, so none of them
-leaves the polynomial ring; the Smith reduction works with elementary
-row/column operations over the Euclidean domain Q[s] and tracks the
-transforms *and their inverses* as it goes, which is what the behavioural
-decision procedures downstream consume. `RatMatrix` and `invert_ratmatrix`
-compute over the fraction field Q(s); they back only `behavior.transfer_matrix`,
-an independent cross-check of state elimination, and no decision uses them.
+leaves the polynomial ring. `row_echelon` is the one reduction the
+behavioral decisions use: unimodular row operations over the Euclidean
+domain Q[s], carrying along whatever columns sit to the right, so reducing
+[R | I] yields the left transform with the echelon form. `smith_form` also
+applies column operations and tracks both transforms and their inverses; it
+backs the ``smith`` command and serves as a test oracle. `RatMatrix` and
+`invert_ratmatrix` compute over the fraction field Q(s); they back only
+`behavior.transfer_matrix`, an independent cross-check of state elimination,
+and no decision uses them.
 """
 
 from __future__ import annotations
@@ -276,6 +279,49 @@ def _fraction_free(a: list[list[Poly]], ncols: int, jordan: bool = False) -> tup
         prev = pivot
         rank += 1
     return rank, sign
+
+
+def row_echelon(a: list[list[Poly]], ncols: int) -> list[int]:
+    """Row echelon form of the first ``ncols`` columns of the grid ``a``, in place.
+
+    Only unimodular row operations over Q[s] are used, and any columns to the
+    right of ``ncols`` are carried along, so reducing [R | I] leaves [W R | W]
+    with W unimodular. Each column pivots on its lowest-degree nonzero entry
+    at or below the current rank (ties go to the lowest row); the entries
+    below are replaced by their remainders modulo the pivot, and while one
+    survives it becomes the next, lower-degree pivot. The pivot is then made
+    monic. Entries above the pivots are left as they are.
+
+    Returns the pivot columns; their count is the generic rank, and the rows
+    from there down are zero in the scanned columns.
+    """
+    rows = len(a)
+    width = len(a[0]) if a else 0
+    pivots: list[int] = []
+    for c in range(ncols):
+        rank = len(pivots)
+        if rank == rows:
+            break
+        live = [i for i in range(rank, rows) if not a[i][c].is_zero]
+        if not live:
+            continue
+        while live:
+            piv = min(live, key=lambda i: a[i][c].degree)
+            a[rank], a[piv] = a[piv], a[rank]
+            prow = a[rank]
+            for row in a[rank + 1:]:
+                if not row[c].is_zero:
+                    q, row[c] = divmod(row[c], prow[c])
+                    for j in range(c + 1, width):
+                        if not prow[j].is_zero:
+                            row[j] = row[j] - q * prow[j]
+            # A surviving remainder has lower degree than the pivot: re-pivot.
+            live = [i for i in range(rank + 1, rows) if not a[i][c].is_zero]
+        lc = a[rank][c].lc
+        if lc != 1:
+            a[rank] = [e / lc for e in a[rank]]
+        pivots.append(c)
+    return pivots
 
 
 def determinant(P: PolyMatrix) -> Poly:

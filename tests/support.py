@@ -73,6 +73,15 @@ def eval_matrix(M: PolyMatrix, x: Fraction) -> list[list[Fraction]]:
 # ---------------------------------------------------------------------------
 
 
+def evaluation_rank(R: PolyMatrix) -> int:
+    """Generic rank from evaluation alone: a nonzero r x r minor has degree at
+    most min(m, n) * deg R, so it vanishes at no more points than that, and
+    the largest rank over one more distinct points is the generic rank."""
+    d = max(0, R.degree)
+    points = range(min(R.rows, R.cols) * d + 1)
+    return max((fraction_rank(eval_matrix(R, Fraction(x))) for x in points), default=0)
+
+
 def det_cofactor(M: PolyMatrix) -> Poly:
     """Determinant by cofactor expansion along the first row."""
     n = M.rows

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from agverify.behavior import (
     InclusionWitness,
@@ -25,9 +26,10 @@ from agverify.behavior import (
     transfer_matrix,
 )
 from agverify.polyalg import ONE, S, ZERO
-from agverify.polymatrix import PolyMatrix, rank_generic
+from agverify.polymatrix import PolyMatrix, hstack, rank_generic, vstack
 from support import (
     eval_matrix,
+    evaluation_rank,
     fraction_rank,
     inclusion_by_linear_solve,
     random_full_row_rank,
@@ -35,6 +37,7 @@ from support import (
     random_statespace,
     random_unimodular,
 )
+from test_polymatrix import poly_matrices
 
 W1 = (("w", 1),)
 W2 = (("w", 2),)
@@ -42,6 +45,39 @@ W2 = (("w", 2),)
 
 def kernel(entries, labels=W1, **kw):
     return KernelRep(PolyMatrix(entries, cols=sum(d for _, d in labels)), labels, **kw)
+
+
+@st.composite
+def inclusion_sources(draw):
+    """Full-row-rank sources, or rank-deficient ones made by appending a
+    polynomial combination of the rows."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    rows = draw(st.integers(min_value=1, max_value=n))
+    R1 = draw(poly_matrices(rows, n))
+    assume(evaluation_rank(R1) == rows)
+    if draw(st.booleans()):
+        R1 = vstack(R1, draw(poly_matrices(1, rows, 1)) * R1)
+    return R1
+
+
+@st.composite
+def inclusion_instances(draw):
+    """(R1, R2): R2 a left multiple of R1 (holds); a multiple of R1 while the
+    source is F * R1 (a rational multiplier when F is not unimodular); a
+    multiple of R1 that also constrains a signal left free by the source (a
+    remainder after the last pivot); or an unrelated matrix."""
+    R1 = draw(inclusion_sources())
+    q = draw(st.integers(min_value=0, max_value=2))
+    mode = draw(st.sampled_from(("multiple", "factor", "free signal", "unrelated")))
+    if mode == "unrelated":
+        return R1, draw(poly_matrices(q, R1.cols))
+    R2 = draw(poly_matrices(q, R1.rows, 1)) * R1
+    if mode == "factor":
+        return draw(poly_matrices(R1.rows, R1.rows, 1)) * R1, R2
+    if mode == "free signal":
+        extra = draw(poly_matrices(q, 1))
+        return hstack(R1, PolyMatrix.zeros(R1.rows, 1)), hstack(R2, extra)
+    return R1, R2
 
 
 class TestMinimalKernel:
@@ -76,6 +112,15 @@ class TestMinimalKernel:
             mk = minimal_kernel(k)
             assert rank_generic(mk.R) == mk.R.rows
             assert behavior_equal(k, mk).holds
+
+
+    @settings(deadline=None, max_examples=60)
+    @given(inclusion_sources())
+    def test_full_row_rank_and_mutual_inclusion(self, R):
+        mk = minimal_kernel(KernelRep(R, (("w", R.cols),)))
+        assert evaluation_rank(mk.R) == mk.R.rows
+        assert inclusion_by_linear_solve(R, mk.R)
+        assert inclusion_by_linear_solve(mk.R, R)
 
 
 class TestEliminateLatent:
@@ -200,7 +245,10 @@ class TestInclusion:
     def test_s_squared_not_in_s(self):
         v = behavior_included(kernel([[S**2]]), kernel([[S]]))
         assert not v.holds
-        assert "invariant factor" in v.diagnostics[0]
+        (d,) = v.diagnostics
+        assert d.startswith("multiplier is not polynomial:")
+        assert "pivot s^2" in d
+        assert d.endswith("remainder s")
 
     def test_full_space_only_contains_everything(self):
         free = kernel([], (("w", 1),))
@@ -273,6 +321,20 @@ class TestInclusion:
             )
             assert got.holds == inclusion_by_linear_solve(R1, R2)
             checked += 1
+
+
+    @settings(deadline=None, max_examples=80)
+    @given(inclusion_instances())
+    def test_matches_linear_solve_oracle(self, instance):
+        R1, R2 = instance
+        labels = (("w", R1.cols),)
+        v = behavior_included(KernelRep(R1, labels), KernelRep(R2, labels))
+        assert v.holds == inclusion_by_linear_solve(R1, R2)
+        if v.holds:
+            assert v.witnesses[0].multiplier * R1 == R2
+        else:
+            (d,) = v.diagnostics
+            assert "multiplier" in d
 
 
 class TestBehaviorEqual:

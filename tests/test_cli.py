@@ -8,7 +8,7 @@ import pytest
 import agverify
 from agverify import cli
 from agverify.cli import main
-from agverify.docparse import parse_document, parse_matrix_text
+from agverify.docparse import MAX_EXPONENT, parse_document, parse_matrix_text
 
 CORPUS = sorted(str(p) for p in agverify.corpus_dir().glob("*.ag"))
 
@@ -30,6 +30,17 @@ class TestExitCodes:
         assert code == 1
         assert "result: FAILS" in out
         assert "diagnostic:" in out
+
+    def test_exponent_cap_is_two(self, capsys, tmp_path):
+        at_cap = tmp_path / "at_cap.ag"
+        at_cap.write_text(f"kernel K {{ vars y:1 R [[s^{MAX_EXPONENT}]] }}")
+        code, out, _ = run(capsys, "include", "K", "K", str(at_cap))
+        assert code == 0 and "result: holds" in out
+        over = tmp_path / "over.ag"
+        over.write_text(f"kernel K {{ vars y:1 R [[s^{MAX_EXPONENT + 1}]] }}")
+        code, out, err = run(capsys, "include", "K", "K", str(over))
+        assert code == 2 and out == ""
+        assert f"{over}:1:27: exponent {MAX_EXPONENT + 1} exceeds the maximum" in err
 
     def test_parse_error_is_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.ag"

@@ -7,6 +7,7 @@ import pytest
 from agverify.behavior import IoSystem, KernelRep, LatentRep, StateSpace
 from agverify.contracts import Contract
 from agverify.docparse import (
+    MAX_EXPONENT,
     DocumentValidationError,
     DuplicateNameError,
     DimensionInconsistencyError,
@@ -65,6 +66,14 @@ class TestPolyParsing:
     def test_zero_denominator(self):
         with pytest.raises(ParseError):
             parse_matrix_text("[[1/0]]")
+
+    def test_exponent_cap_boundary(self):
+        m = parse_matrix_text(f"[[2*s^{MAX_EXPONENT} + 1]]")
+        assert m[0, 0].degree == MAX_EXPONENT
+        with pytest.raises(ParseError) as exc:
+            parse_matrix_text(f"[[1,\n 2*s^{MAX_EXPONENT + 1}]]")
+        assert ":2:6:" in str(exc.value)
+        assert f"exponent {MAX_EXPONENT + 1} exceeds the maximum {MAX_EXPONENT}" in str(exc.value)
 
 
 class TestDefinitions:

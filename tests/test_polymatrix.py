@@ -19,6 +19,7 @@ from agverify.polymatrix import (
     is_proper,
     is_unimodular,
     rank_generic,
+    row_echelon,
     smith_form,
     vstack,
 )
@@ -187,6 +188,39 @@ class TestRankOracle:
         points = [Fraction(x) for x in range(min(R.rows, R.cols) * d + 1)]
         want = max(fraction_rank(eval_matrix(R, x)) for x in points)
         assert rank_generic(R) == want
+
+
+class TestRowEchelon:
+    @settings(deadline=None)
+    @given(rank_instances())
+    def test_reduction_of_r_and_identity(self, R):
+        m, n = R.rows, R.cols
+        a = [list(row) + list(e) for row, e in zip(R.entries, PolyMatrix.identity(m).entries)]
+        pivots = row_echelon(a, n)
+        H = PolyMatrix([row[:n] for row in a], cols=n)
+        W = PolyMatrix([row[n:] for row in a], cols=m)
+        assert W * R == H
+        assert is_unimodular(W)
+        r = len(pivots)
+        assert r == rank_generic(R)
+        assert pivots == sorted(set(pivots))
+        for k, c in enumerate(pivots):
+            assert H[k, c].lc == 1
+            assert all(H[k, j].is_zero for j in range(c))
+            assert all(H[i, c].is_zero for i in range(k + 1, m))
+        assert H.take_rows(range(r, m)).is_zero
+
+    def test_entries_above_pivots_stay(self):
+        a = [[Poly([-2]), Poly([-1]), ONE, ZERO], [ZERO, Poly([-1]), ZERO, ONE]]
+        assert row_echelon(a, 4) == [0, 1]
+        assert a[0] == [ONE, Poly([Fraction(1, 2)]), Poly([Fraction(-1, 2)]), ZERO]
+        assert a[1] == [ZERO, ONE, ZERO, Poly([-1])]
+
+    def test_lowest_degree_pivot_and_repivot(self):
+        # s^2 + 1 leaves remainder 1 modulo s; that becomes the pivot.
+        a = [[S**2 + 1], [S]]
+        assert row_echelon(a, 1) == [0]
+        assert a == [[ONE], [ZERO]]
 
 
 class TestUnimodular:
