@@ -226,9 +226,6 @@ class InclusionWitness:
         if self.multiplier * self.source != self.target:
             raise ValueError("invalid witness: multiplier * source != target")
 
-    def verify(self) -> bool:
-        return self.multiplier * self.source == self.target
-
 
 @dataclass(frozen=True)
 class Verdict:

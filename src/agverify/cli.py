@@ -1,11 +1,16 @@
 """Command-line front end.
 
 Usage pattern: ``agverify COMMAND [names...] FILE [FILE...]`` where the files
-hold definitions in the shared text format and the names refer to them.
+hold definitions in the shared text format and the names refer to them. One
+table, `_COMMANDS`, declares each command's help text, positionals and
+handler; the argument parser is built from it and `run_command` dispatches
+through it. Every positional that names a definition is looked up with the
+kinds it may name before the handler runs.
 
 Exit codes: 0 when the checked property holds (or output was produced),
 1 when the property fails, 2 on parse or validation errors, 3 on an internal
-fault (an inexact division or a failed self-check), which decides nothing.
+fault (an inexact division, a failed self-check or a report that cannot be
+rendered), which decides nothing.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .behavior import (
     InclusionWitness,
     IoSystem,
     KernelRep,
+    LatentRep,
     StateSpace,
     Verdict,
     behavior_included,
@@ -30,6 +36,8 @@ from .behavior import (
     statespace_to_io,
     statespace_to_kernel,
 )
+# `behavior_included`, `env_compatible`, `implements` and `refines` are called by
+# name through `_decision`.
 from .contracts import Contract, IoFormError, conjunction, env_compatible, implements, refines
 from .docparse import (
     Definition,
@@ -112,134 +120,106 @@ class Report:
         return json.dumps(obj, indent=2)
 
 
-def _verdict_report(command: str, arguments: tuple[str, ...], verdict: Verdict) -> Report:
-    return Report(
-        command=command,
-        arguments=arguments,
-        holds=verdict.holds,
-        witnesses=verdict.witnesses,
-        diagnostics=verdict.diagnostics,
-    )
+def _check_io(report: Report, args, doc, system) -> Verdict:
+    if isinstance(system, StateSpace):
+        io = statespace_to_io(system)
+    elif check_io_form(system):
+        io = system
+    else:
+        return Verdict(False, diagnostics=("system is not in input-output form",))
+    report.sections += [("P", format_matrix(io.P)), ("Q", format_matrix(io.Q))]
+    report.payload = {"P": matrix_coeffs(io.P), "Q": matrix_coeffs(io.Q)}
+    return Verdict(True)
 
 
-def _get_system(doc: Document, name: str) -> IoSystem | StateSpace:
-    d = doc.get(name, kinds=("statespace", "iosystem"))
-    return d.value
+def _eliminate(report: Report, args, doc, system) -> None:
+    if isinstance(system, StateSpace):
+        k = statespace_to_kernel(system)
+    elif isinstance(system, IoSystem):
+        k = system.kernel()
+    elif isinstance(system, LatentRep):
+        k = eliminate_latent(system)
+    else:
+        k = minimal_kernel(system)
+    plain = Definition("kernel", f"{report.arguments[0]}_kernel", KernelRep(k.R, k.signal_labels))
+    report.sections.append(("kernel", "\n" + format_definition(plain)))
+    report.payload = {"kernel": {"vars": format_varlist(k.signal_labels), "R": matrix_coeffs(k.R)}}
 
 
-def _get_kernel(doc: Document, name: str) -> KernelRep:
-    return doc.get(name, kinds=("kernel",)).value
+def _smith(report: Report, args, doc, matrix: str) -> None:
+    if matrix.lstrip().startswith("["):
+        M = parse_matrix_text(matrix)
+    else:
+        M = doc.get(matrix, kinds=_KERNEL).value.R
+    sd = smith_form(M)
+    factors = "[" + ", ".join(str(p) for p in sd.invariant_factors) + "]"
+    report.sections += [("U", format_matrix(sd.U)), ("invariant factors", factors),
+                        ("V", format_matrix(sd.V)), ("rank", str(sd.rank))]
+    report.payload = {
+        "U": matrix_coeffs(sd.U),
+        "invariant_factors": [poly_coeffs(p) for p in sd.invariant_factors],
+        "V": matrix_coeffs(sd.V),
+        "rank": sd.rank,
+    }
 
 
-def _get_contract(doc: Document, name: str) -> Contract:
-    return doc.get(name, kinds=("contract",)).value
+def _conjoin(report: Report, args, doc, c1: Contract, c2: Contract) -> None:
+    name = "_and_".join(report.arguments)
+    text = format_document(contract_document(name, conjunction(c1, c2)))
+    if args.out:
+        Path(args.out).write_text(text)
+        report.sections.append(("written", args.out))
+    else:
+        report.sections.append(("contract", "\n" + text.rstrip()))
+    report.payload = {"contract_name": name, "document": text}
 
 
-def _kernel_definition(name: str, k: KernelRep) -> str:
-    plain = KernelRep(k.R, k.signal_labels)
-    return format_definition(Definition("kernel", name, plain))
+def _decision(name: str):
+    """Handler of a decision command: the verdict of the module-level
+    function ``name`` on the looked-up values. The function is looked up when
+    the command runs, so a replacement of it takes effect."""
+    return lambda report, args, doc, *values: globals()[name](*values)
+
+
+_KERNEL = ("kernel",)
+_CONTRACT = ("contract",)
+_SYSTEM = ("statespace", "iosystem")
+
+# Every command: its help text, its positionals with the definition kinds
+# each may name (None passes the argument through as given), and its handler.
+# A handler gets the report to fill in, the parsed arguments, the document
+# and one value per positional; it returns the verdict of a decision, or
+# None when the command only produces output.
+_COMMANDS = {
+    "check-io": ("validate (or derive) the input-output form of a system",
+                 [("system", _SYSTEM)], _check_io),
+    "eliminate": ("print a kernel representation of a system",
+                  [("system", _SYSTEM + ("latent", "kernel"))], _eliminate),
+    "smith": ("print the Smith form of a kernel's matrix or a matrix literal",
+              [("matrix", None)], _smith),
+    "include": ("decide kernel-behavior inclusion of R1 in R2",
+                [("r1", _KERNEL), ("r2", _KERNEL)], _decision("behavior_included")),
+    "implements": ("decide whether a system implements a contract",
+                   [("system", _SYSTEM), ("contract", _CONTRACT)], _decision("implements")),
+    "compatible": ("decide whether an environment is compatible with a contract",
+                   [("env", _KERNEL), ("contract", _CONTRACT)], _decision("env_compatible")),
+    "refines": ("decide whether contract C1 refines contract C2",
+                [("c1", _CONTRACT), ("c2", _CONTRACT)], _decision("refines")),
+    "conjoin": ("compute the conjunction of two contracts",
+                [("c1", _CONTRACT), ("c2", _CONTRACT)], _conjoin),
+}
 
 
 def run_command(args: argparse.Namespace, doc: Document) -> Report:
-    cmd = args.command
-
-    if cmd == "check-io":
-        sys_def = doc.get(args.system, kinds=("statespace", "iosystem"))
-        if isinstance(sys_def.value, StateSpace):
-            io = statespace_to_io(sys_def.value)
-            ok = True
-        else:
-            io = sys_def.value
-            ok = check_io_form(io)
-        report = Report(cmd, (args.system,), holds=ok)
-        if ok:
-            report.sections.append(("P", format_matrix(io.P)))
-            report.sections.append(("Q", format_matrix(io.Q)))
-            report.payload = {"P": matrix_coeffs(io.P), "Q": matrix_coeffs(io.Q)}
-        else:
-            report = Report(
-                cmd,
-                (args.system,),
-                holds=False,
-                diagnostics=("system is not in input-output form",),
-            )
-
-    elif cmd == "eliminate":
-        d = doc.get(args.system, kinds=("statespace", "iosystem", "latent", "kernel"))
-        if d.kind == "statespace":
-            k = statespace_to_kernel(d.value)
-        elif d.kind == "iosystem":
-            k = d.value.kernel()
-        elif d.kind == "latent":
-            k = eliminate_latent(d.value)
-        else:
-            k = minimal_kernel(d.value)
-        text = _kernel_definition(f"{args.system}_kernel", k)
-        report = Report(cmd, (args.system,), sections=[("kernel", "\n" + text)])
-        report.payload = {
-            "kernel": {
-                "vars": format_varlist(k.signal_labels),
-                "R": matrix_coeffs(k.R),
-            }
-        }
-
-    elif cmd == "smith":
-        if args.matrix.lstrip().startswith("["):
-            M = parse_matrix_text(args.matrix)
-        else:
-            M = _get_kernel(doc, args.matrix).R
-        sd = smith_form(M)
-        report = Report(cmd, (args.matrix,))
-        report.sections.append(("U", format_matrix(sd.U)))
-        report.sections.append(
-            ("invariant factors", "[" + ", ".join(str(p) for p in sd.invariant_factors) + "]")
-        )
-        report.sections.append(("V", format_matrix(sd.V)))
-        report.sections.append(("rank", str(sd.rank)))
-        report.payload = {
-            "U": matrix_coeffs(sd.U),
-            "invariant_factors": [poly_coeffs(p) for p in sd.invariant_factors],
-            "V": matrix_coeffs(sd.V),
-            "rank": sd.rank,
-        }
-
-    elif cmd == "include":
-        r1 = _get_kernel(doc, args.r1)
-        r2 = _get_kernel(doc, args.r2)
-        report = _verdict_report(cmd, (args.r1, args.r2), behavior_included(r1, r2))
-
-    elif cmd == "implements":
-        system = _get_system(doc, args.system)
-        contract = _get_contract(doc, args.contract)
-        report = _verdict_report(cmd, (args.system, args.contract), implements(system, contract))
-
-    elif cmd == "compatible":
-        env = _get_kernel(doc, args.env)
-        contract = _get_contract(doc, args.contract)
-        report = _verdict_report(cmd, (args.env, args.contract), env_compatible(env, contract))
-
-    elif cmd == "refines":
-        c1 = _get_contract(doc, args.c1)
-        c2 = _get_contract(doc, args.c2)
-        report = _verdict_report(cmd, (args.c1, args.c2), refines(c1, c2))
-
-    elif cmd == "conjoin":
-        c1 = _get_contract(doc, args.c1)
-        c2 = _get_contract(doc, args.c2)
-        name = f"{args.c1}_and_{args.c2}"
-        out_doc = contract_document(name, conjunction(c1, c2))
-        text = format_document(out_doc)
-        report = Report(cmd, (args.c1, args.c2))
-        if args.out:
-            Path(args.out).write_text(text)
-            report.sections.append(("written", args.out))
-        else:
-            report.sections.append(("contract", "\n" + text.rstrip()))
-        report.payload = {"contract_name": name, "document": text}
-
-    else:  # pragma: no cover - argparse restricts the choices
-        raise ValueError(f"unknown command {cmd!r}")
-
+    _, positionals, handler = _COMMANDS[args.command]
+    names = tuple(getattr(args, dest) for dest, _ in positionals)
+    values = [name if kinds is None else doc.get(name, kinds=kinds).value
+              for name, (_, kinds) in zip(names, positionals)]
+    report = Report(args.command, names)
+    verdict = handler(report, args, doc, *values)
+    if verdict is not None:
+        report.holds = verdict.holds
+        report.witnesses, report.diagnostics = verdict.witnesses, verdict.diagnostics
     return report
 
 
@@ -257,24 +237,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact verification of assume-guarantee contracts on linear systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, *positionals: str, out_flag: bool = False):
+    for name, (help_text, positionals, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, parents=[common])
-        for pos in positionals:
-            p.add_argument(pos)
-        if out_flag:
+        for dest, _ in positionals:
+            p.add_argument(dest)
+        if handler is _conjoin:
             p.add_argument("--out", default=None, help="write the result to this file")
         p.add_argument("files", nargs="+", help="definition files")
-        return p
-
-    add("check-io", "validate (or derive) the input-output form of a system", "system")
-    add("eliminate", "print a kernel representation of a system", "system")
-    add("smith", "print the Smith form of a kernel's matrix or a matrix literal", "matrix")
-    add("include", "decide kernel-behavior inclusion of R1 in R2", "r1", "r2")
-    add("implements", "decide whether a system implements a contract", "system", "contract")
-    add("compatible", "decide whether an environment is compatible with a contract", "env", "contract")
-    add("refines", "decide whether contract C1 refines contract C2", "c1", "c2")
-    add("conjoin", "compute the conjunction of two contracts", "c1", "c2", out_flag=True)
     return parser
 
 
@@ -300,10 +269,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     report.elapsed = time.perf_counter() - start
-    if args.format == "json":
-        print(report.render_json(quiet=args.quiet))
-    else:
-        print(report.render_text(quiet=args.quiet))
+    try:
+        if args.format == "json":
+            text = report.render_json(quiet=args.quiet)
+        else:
+            text = report.render_text(quiet=args.quiet)
+    except ValueError as exc:  # e.g. an integer beyond Python's int-to-str digit limit
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    print(text)
     return report.exit_code
 
 

@@ -16,10 +16,11 @@ Grammar (EBNF sketch, ``#`` starts a line comment):
     term       := coef "*" "s" ["^" INT] | "s" ["^" INT] | coef
     coef       := INT | INT "/" INT
 
-The exponent after "^" is at most `MAX_EXPONENT`. Rational coefficients are
-preserved exactly. Everything the toolkit prints (witness matrices,
-eliminated kernels, conjoined contracts) uses this same grammar, so outputs
-can be fed back in as inputs.
+The exponent after "^" is at most `MAX_EXPONENT`, an integer has at most
+`MAX_DIGITS` digits, and the dimensions of a varlist add up to at most
+`MAX_DIMENSION`. Rational coefficients are preserved exactly. Everything the
+toolkit prints (witness matrices, eliminated kernels, conjoined contracts)
+uses this same grammar, so outputs can be fed back in as inputs.
 """
 
 from __future__ import annotations
@@ -37,6 +38,16 @@ from .polymatrix import PolyMatrix
 # coefficients, so an unbounded exponent would let a few bytes of input
 # exhaust memory; a larger one is a `ParseError`.
 MAX_EXPONENT = 1000
+
+# Largest number of digits in an integer token. It matches CPython's default
+# limit on int/str conversion, so every accepted integer also prints back;
+# a longer token is a `ParseError`.
+MAX_DIGITS = 4300
+
+# Largest total dimension of the signals in a ``vars`` list. Several steps
+# build an identity of that size, so time and memory grow with its square;
+# a larger total is a `ParseError`.
+MAX_DIMENSION = 100
 
 
 class DocumentError(ValueError):
@@ -99,11 +110,6 @@ class Document:
                 f"'{name}' is a {d.kind}, expected {' or '.join(kinds)}"
             )
         return d
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Document):
-            return NotImplemented
-        return self.definitions == other.definitions
 
 
 # --------------------------------------------------------------------------
@@ -219,7 +225,12 @@ class _Parser:
     # -- polynomial / matrix ------------------------------------------------
 
     def parse_int(self) -> int:
-        return int(self.expect("INT", "an integer").text)
+        tok = self.expect("INT", "an integer")
+        if len(tok.text) > MAX_DIGITS:
+            raise self.error(
+                f"integer of {len(tok.text)} digits exceeds the maximum {MAX_DIGITS}", tok
+            )
+        return int(tok.text)
 
     def parse_coef(self) -> Fraction:
         num = self.parse_int()
@@ -307,6 +318,7 @@ class _Parser:
 
     def parse_varlist(self) -> list[tuple[str, int]]:
         out = []
+        total = 0
         while True:
             name_tok = self.expect("NAME", "a signal name")
             self.expect("COLON", "':'")
@@ -314,6 +326,12 @@ class _Parser:
             dim = self.parse_int()
             if dim < 1:
                 raise self.error("signal dimension must be at least 1", dim_tok)
+            total += dim
+            if total > MAX_DIMENSION:
+                raise self.error(
+                    f"signal dimensions add up to {total}, above the maximum {MAX_DIMENSION}",
+                    dim_tok,
+                )
             out.append((name_tok.text, dim))
             if self.peek().kind == "COMMA":
                 self.next()
@@ -490,15 +508,8 @@ def parse_documents(sources: list[tuple[str, str]]) -> Document:
 # --------------------------------------------------------------------------
 
 
-def format_poly(p: Poly) -> str:
-    return str(p)
-
-
 def format_matrix(M: PolyMatrix) -> str:
-    if M.rows == 0:
-        return "[]"
-    rows = ", ".join("[" + ", ".join(format_poly(e) for e in row) + "]" for row in M.entries)
-    return f"[{rows}]"
+    return str(M)
 
 
 def format_varlist(labels) -> str:

@@ -82,12 +82,6 @@ class Poly:
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial."""
-        if not self.is_constant:
-            raise ValueError(f"{self} is not constant")
-        return self.coeffs[0] if self.coeffs else _F0
-
     def coeff(self, k: int) -> Fraction:
         """Coefficient of ``s^k`` (0 beyond the stored degree)."""
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else _F0
@@ -326,11 +320,6 @@ class RatFunc:
     def is_polynomial(self) -> bool:
         return self.den == ONE
 
-    def as_poly(self) -> Poly:
-        if not self.is_polynomial:
-            raise ValueError(f"{self} is not a polynomial")
-        return self.num
-
     def __add__(self, other) -> "RatFunc":
         other = _as_ratfunc(other)
         if other is NotImplemented:
@@ -403,7 +392,3 @@ def _as_ratfunc(x) -> "RatFunc":
     if isinstance(x, (Poly, int, Fraction)):
         return RatFunc(x)
     return NotImplemented
-
-
-RF_ZERO = RatFunc(ZERO)
-RF_ONE = RatFunc(ONE)

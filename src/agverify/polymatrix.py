@@ -1,15 +1,18 @@
 """Matrices over Q[s]: arithmetic, determinants, generic rank, row echelon
 form, inversion and the Smith canonical form.
 
-Everything is exact. One fraction-free (Bareiss) elimination backs the
-determinant, the generic rank and the properness test, so none of them
-leaves the polynomial ring. `row_echelon` is the one reduction the
-behavioral decisions use: unimodular row operations over the Euclidean
-domain Q[s], carrying along whatever columns sit to the right, so reducing
-[R | I] yields the left transform with the echelon form. `smith_form` also
-applies column operations and tracks both transforms and their inverses; it
-backs the ``smith`` command and serves as a test oracle. `RatMatrix` and
-`invert_ratmatrix` compute over the fraction field Q(s); they back only
+Everything is exact. `PolyMatrix` (entries in Q[s]) and `RatMatrix`
+(entries in the fraction field Q(s)) share one immutable container, with its
+shape checks, sums, product and value protocol; each class adds only the
+coercion of its entries and what is particular to its ring. One
+fraction-free (Bareiss) elimination backs the determinant, the generic rank
+and the properness test, so none of them leaves the polynomial ring.
+`row_echelon` is the one reduction the behavioral decisions use: unimodular
+row operations over the Euclidean domain Q[s], carrying along whatever
+columns sit to the right, so reducing [R | I] yields the left transform with
+the echelon form. `smith_form` also applies column operations and tracks
+both transforms and their inverses; it backs the ``smith`` command and
+serves as a test oracle. `RatMatrix` and `invert_ratmatrix` back only
 `behavior.transfer_matrix`, an independent cross-check of state elimination,
 and no decision uses them.
 """
@@ -38,21 +41,22 @@ def _coerce_entry(x) -> Poly:
     return p
 
 
-class PolyMatrix:
-    """Immutable rows x cols matrix of `Poly` entries.
+class _Matrix:
+    """Immutable rows x cols grid; a subclass names its entry coercion `_entry`.
 
     ``cols`` must be given explicitly when constructing a matrix with zero
-    rows; every other shape is inferred from the entry grid.
+    rows; every other shape is inferred from the entry grid. Matrices of
+    different classes never compare equal.
     """
 
     __slots__ = ("rows", "cols", "entries")
 
     rows: int
     cols: int
-    entries: tuple[tuple[Poly, ...], ...]
 
     def __init__(self, entries: Iterable[Iterable] = (), cols: int | None = None):
-        grid = tuple(tuple(_coerce_entry(x) for x in row) for row in entries)
+        coerce = self._entry
+        grid = tuple(tuple(map(coerce, row)) for row in entries)
         if grid:
             ncols = len(grid[0])
             for row in grid:
@@ -71,13 +75,88 @@ class PolyMatrix:
         object.__setattr__(self, "entries", grid)
 
     def __setattr__(self, name, value):
-        raise AttributeError("PolyMatrix is immutable")
-
-    # -- constructors -------------------------------------------------------
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def identity(cls, n: int) -> "PolyMatrix":
+    def identity(cls, n: int):
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)], cols=n)
+
+    def __getitem__(self, key: tuple[int, int]):
+        i, j = key
+        return self.entries[i][j]
+
+    def shape_str(self) -> str:
+        return f"{self.rows}x{self.cols}"
+
+    # -- arithmetic -------------------------------------------------------------
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionError(f"cannot add {self.shape_str()} and {other.shape_str()}")
+        return type(self)(
+            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
+            cols=self.cols,
+        )
+
+    def __neg__(self):
+        return type(self)([[-e for e in row] for row in self.entries], cols=self.cols)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def _product(self, other):
+        """The matrix product with ``other``, of this matrix's class."""
+        if self.cols != other.rows:
+            raise DimensionError(f"cannot multiply {self.shape_str()} by {other.shape_str()}")
+        zero = self._entry(ZERO)
+        cols = other.cols
+        out = []
+        for i in range(self.rows):
+            row_i = self.entries[i]
+            out_row = []
+            for j in range(cols):
+                acc = zero
+                for k in range(self.cols):
+                    a = row_i[k]
+                    if not a.is_zero:
+                        b = other.entries[k][j]
+                        if not b.is_zero:
+                            acc = acc + a * b
+                out_row.append(acc)
+            out.append(out_row)
+        return type(self)(out, cols=cols)
+
+    # -- value protocol ----------------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self.rows, self.cols, self.entries))
+
+    def __str__(self) -> str:
+        return "[" + ", ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries) + "]"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class PolyMatrix(_Matrix):
+    """Immutable rows x cols matrix of `Poly` entries."""
+
+    __slots__ = ()
+
+    entries: tuple[tuple[Poly, ...], ...]
+
+    _entry = staticmethod(_coerce_entry)
+
+    # -- constructors -------------------------------------------------------
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "PolyMatrix":
@@ -90,16 +169,6 @@ class PolyMatrix:
         return cls([[ds[i] if i == j else ZERO for j in range(n)] for i in range(n)], cols=n)
 
     # -- access ---------------------------------------------------------------
-
-    def __getitem__(self, key: tuple[int, int]) -> Poly:
-        i, j = key
-        return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[Poly, ...]:
-        return self.entries[i]
-
-    def col(self, j: int) -> tuple[Poly, ...]:
-        return tuple(row[j] for row in self.entries)
 
     def take_rows(self, indices: Iterable[int]) -> "PolyMatrix":
         return PolyMatrix([self.entries[i] for i in indices], cols=self.cols)
@@ -123,46 +192,9 @@ class PolyMatrix:
 
     # -- arithmetic -------------------------------------------------------------
 
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError(f"cannot add {self.shape_str()} and {other.shape_str()}")
-        return PolyMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-            cols=self.cols,
-        )
-
-    def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix([[-e for e in row] for row in self.entries], cols=self.cols)
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, PolyMatrix):
-            if self.cols != other.rows:
-                raise DimensionError(
-                    f"cannot multiply {self.shape_str()} by {other.shape_str()}"
-                )
-            cols = other.cols
-            out = []
-            for i in range(self.rows):
-                row_i = self.entries[i]
-                out_row = []
-                for j in range(cols):
-                    acc = ZERO
-                    for k in range(self.cols):
-                        a = row_i[k]
-                        if not a.is_zero:
-                            b = other.entries[k][j]
-                            if not b.is_zero:
-                                acc = acc + a * b
-                    out_row.append(acc)
-                out.append(out_row)
-            return PolyMatrix(out, cols=cols)
+            return self._product(other)
         if isinstance(other, (Poly, int, Fraction)):
             p = _coerce_entry(other)
             return PolyMatrix([[e * p for e in row] for row in self.entries], cols=self.cols)
@@ -178,25 +210,6 @@ class PolyMatrix:
             [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
             cols=self.rows,
         )
-
-    # -- value protocol ----------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(("PolyMatrix", self.rows, self.cols, self.entries))
-
-    def shape_str(self) -> str:
-        return f"{self.rows}x{self.cols}"
-
-    def __str__(self) -> str:
-        return "[" + ", ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries) + "]"
-
-    def __repr__(self) -> str:
-        return f"PolyMatrix({self})"
 
 
 def hstack(*mats: PolyMatrix) -> PolyMatrix:
@@ -525,102 +538,35 @@ def smith_form(R: PolyMatrix) -> SmithDecomposition:
     )
 
 
-class RatMatrix:
-    """Immutable matrix of `RatFunc` entries; all entries stored canonical."""
+def _coerce_ratfunc(x) -> RatFunc:
+    r = _as_ratfunc(x)
+    if r is NotImplemented:
+        raise TypeError(f"rational-function entry expected, got {type(x).__name__}")
+    return r
 
-    __slots__ = ("rows", "cols", "entries")
 
-    rows: int
-    cols: int
+class RatMatrix(_Matrix):
+    """Immutable matrix of `RatFunc` entries; all entries stored canonical.
+
+    A `PolyMatrix` operand of ``*`` is lifted to Q(s) first.
+    """
+
+    __slots__ = ()
+
     entries: tuple[tuple[RatFunc, ...], ...]
 
-    def __init__(self, entries: Iterable[Iterable] = (), cols: int | None = None):
-        grid = []
-        for row in entries:
-            out_row = []
-            for x in row:
-                r = _as_ratfunc(x)
-                if r is NotImplemented:
-                    raise TypeError(f"rational-function entry expected, got {type(x).__name__}")
-                out_row.append(r)
-            grid.append(tuple(out_row))
-        grid = tuple(grid)
-        if grid:
-            ncols = len(grid[0])
-            for row in grid:
-                if len(row) != ncols:
-                    raise DimensionError("rows of unequal length")
-        else:
-            ncols = cols if cols is not None else 0
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "entries", grid)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatMatrix is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+    _entry = staticmethod(_coerce_ratfunc)
 
     @classmethod
     def from_polymatrix(cls, P: PolyMatrix) -> "RatMatrix":
         return cls([[RatFunc(e) for e in row] for row in P.entries], cols=P.cols)
-
-    def __getitem__(self, key: tuple[int, int]) -> RatFunc:
-        i, j = key
-        return self.entries[i][j]
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("shape mismatch in addition")
-        return RatMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-            cols=self.cols,
-        )
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        return self + RatMatrix([[-e for e in row] for row in other.entries], cols=other.cols)
 
     def __mul__(self, other):
         if isinstance(other, PolyMatrix):
             other = RatMatrix.from_polymatrix(other)
         if not isinstance(other, RatMatrix):
             return NotImplemented
-        if self.cols != other.rows:
-            raise DimensionError("shape mismatch in multiplication")
-        out = []
-        for i in range(self.rows):
-            out_row = []
-            for j in range(other.cols):
-                acc = RatFunc(ZERO)
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    if not a.is_zero:
-                        b = other.entries[k][j]
-                        if not b.is_zero:
-                            acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return RatMatrix(out, cols=other.cols)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(("RatMatrix", self.rows, self.cols, self.entries))
-
-    def __str__(self) -> str:
-        return "[" + ", ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries) + "]"
-
-    def __repr__(self) -> str:
-        return f"RatMatrix({self})"
+        return self._product(other)
 
 
 def invert_ratmatrix(P: PolyMatrix) -> RatMatrix:

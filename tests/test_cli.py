@@ -1,6 +1,7 @@
 """Command-line interface: commands, exit codes, output formats."""
 
 import json
+import sys
 import time
 
 import pytest
@@ -8,7 +9,13 @@ import pytest
 import agverify
 from agverify import cli
 from agverify.cli import main
-from agverify.docparse import MAX_EXPONENT, parse_document, parse_matrix_text
+from agverify.docparse import (
+    MAX_DIGITS,
+    MAX_DIMENSION,
+    MAX_EXPONENT,
+    parse_document,
+    parse_matrix_text,
+)
 
 CORPUS = sorted(str(p) for p in agverify.corpus_dir().glob("*.ag"))
 
@@ -41,6 +48,29 @@ class TestExitCodes:
         code, out, err = run(capsys, "include", "K", "K", str(over))
         assert code == 2 and out == ""
         assert f"{over}:1:27: exponent {MAX_EXPONENT + 1} exceeds the maximum" in err
+
+    def test_dimension_cap_is_two(self, capsys, tmp_path):
+        at_cap = tmp_path / "at_cap.ag"
+        at_cap.write_text(f"kernel K {{ vars a:{MAX_DIMENSION - 1}, b:1 R [] }}")
+        code, out, _ = run(capsys, "include", "K", "K", str(at_cap))
+        assert code == 0 and "result: holds" in out
+        over = tmp_path / "over.ag"
+        over.write_text(f"kernel K {{ vars a:{MAX_DIMENSION}, b:1 R [] }}")
+        code, out, err = run(capsys, "include", "K", "K", str(over))
+        assert code == 2 and out == ""
+        col = len(f"kernel K {{ vars a:{MAX_DIMENSION}, b:") + 1
+        assert f"{over}:1:{col}: signal dimensions add up to {MAX_DIMENSION + 1}" in err
+
+    def test_digit_cap_is_two(self, capsys, tmp_path):
+        at_cap = tmp_path / "at_cap.ag"
+        at_cap.write_text(f"kernel K {{ vars y:1 R [[{'9' * MAX_DIGITS}]] }}")
+        code, out, _ = run(capsys, "include", "K", "K", "--quiet", str(at_cap))
+        assert code == 0 and "result: holds" in out
+        over = tmp_path / "over.ag"
+        over.write_text(f"kernel K {{ vars y:1 R [[s,\n 1/{'9' * (MAX_DIGITS + 1)}]] }}")
+        code, out, err = run(capsys, "include", "K", "K", str(over))
+        assert code == 2 and out == ""
+        assert f"{over}:2:4: integer of {MAX_DIGITS + 1} digits exceeds the maximum" in err
 
     def test_parse_error_is_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.ag"
@@ -79,6 +109,33 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err == f"internal error: {fault}\n"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("include", "R1", "R2"),
+            ("include", "R1", "R2", "--format", "json"),
+            ("include", "R2", "R1"),
+        ],
+    )
+    def test_unprintable_report_is_three(self, capsys, tmp_path, argv):
+        # The inclusion holds, but its witness has about 8,000 digits: beyond
+        # Python's default limit (4,300) on int-to-str conversion.
+        c = "7" * 4000
+        f = tmp_path / "big.ag"
+        f.write_text(f"kernel R1 {{ vars w:1 R [[1/{c}]] }}\nkernel R2 {{ vars w:1 R [[{c}]] }}\n")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run(capsys, *argv, str(f))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: ") and err.count("\n") == 1
 
 
 class TestCommands:

@@ -3,11 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agverify.behavior import IoSystem, KernelRep, LatentRep, StateSpace
 from agverify.contracts import Contract
 from agverify.docparse import (
+    MAX_DIGITS,
+    MAX_DIMENSION,
     MAX_EXPONENT,
+    Definition,
+    Document,
     DocumentValidationError,
     DuplicateNameError,
     DimensionInconsistencyError,
@@ -24,6 +29,42 @@ from agverify.docparse import (
 )
 from agverify.polyalg import S, Poly
 from agverify.polymatrix import PolyMatrix
+
+
+coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+polys = st.lists(coefficients, max_size=4).map(Poly)  # zero, negative and rational
+
+
+@st.composite
+def poly_matrices(draw, rows, cols):
+    return PolyMatrix([[draw(polys) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+@st.composite
+def kernels(draw):
+    labels = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["u", "y", "w_1"]), st.integers(min_value=1, max_value=2)),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    dim = sum(d for _, d in labels)
+    return KernelRep(draw(poly_matrices(draw(st.integers(0, 2)), dim)), labels)
+
+
+@st.composite
+def documents(draw):
+    """Kernel definitions, then contracts over pairs of them."""
+    doc = Document()
+    names = [f"K{i}" for i in range(draw(st.integers(min_value=1, max_value=3)))]
+    for name in names:
+        doc.definitions[name] = Definition("kernel", name, draw(kernels()))
+    for i in range(draw(st.integers(min_value=0, max_value=2))):
+        refs = (draw(st.sampled_from(names)), draw(st.sampled_from(names)))
+        value = Contract(*(doc.definitions[r].value for r in refs))
+        doc.definitions[f"C{i}"] = Definition("contract", f"C{i}", value, refs=refs)
+    return doc
 
 
 class TestPolyParsing:
@@ -75,6 +116,17 @@ class TestPolyParsing:
         assert ":2:6:" in str(exc.value)
         assert f"exponent {MAX_EXPONENT + 1} exceeds the maximum {MAX_EXPONENT}" in str(exc.value)
 
+    def test_digit_cap_boundary(self):
+        big = int("8" * MAX_DIGITS)
+        m = parse_matrix_text(f"[[{'8' * MAX_DIGITS}/7*s - 1]]")
+        assert m[0, 0] == Poly([-1, Fraction(big, 7)])
+        with pytest.raises(ParseError) as exc:
+            parse_matrix_text(f"[[1,\n 2*s^{'0' * MAX_DIGITS}1]]")
+        assert ":2:6:" in str(exc.value)
+        assert f"integer of {MAX_DIGITS + 1} digits exceeds the maximum {MAX_DIGITS}" in str(
+            exc.value
+        )
+
 
 class TestDefinitions:
     def test_statespace(self):
@@ -124,6 +176,19 @@ class TestDefinitions:
         doc = parse_document("kernel F { vars u:2 R [] }")
         k = doc.get("F").value
         assert k.R.rows == 0 and k.R.cols == 2
+
+    def test_dimension_cap_boundary(self):
+        doc = parse_document(f"kernel K {{ vars a:1, b:{MAX_DIMENSION - 1} R [] }}")
+        assert doc.get("K").value.R.cols == MAX_DIMENSION
+        lat = parse_document(f"latent L {{ vars w:{MAX_DIMENSION} latent l:1 R [] E [] }}")
+        assert lat.get("L").value.manifest.cols == MAX_DIMENSION
+        for source, col in [
+            (f"kernel K {{\n vars a:1, b:{MAX_DIMENSION} R [] }}", 14),
+            (f"latent L {{\n vars w:{MAX_DIMENSION + 1} latent l:1 R [] E [] }}", 9),
+        ]:
+            with pytest.raises(ParseError) as exc:
+                parse_document(source)
+            assert f":2:{col}: signal dimensions add up to {MAX_DIMENSION + 1}" in str(exc.value)
 
     def test_comments_skipped(self):
         doc = parse_document("# heading\nkernel K { vars y:1 R [[s]] } # tail")
@@ -209,6 +274,15 @@ class TestRoundTrip:
     def test_matrix_text_round_trip(self):
         m = PolyMatrix([[S**2 + 1, -S], [Poly([0]), Poly([Fraction(5, 3)])]])
         assert parse_matrix_text(format_matrix(m)) == m
+
+    @given(st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(lambda rc: poly_matrices(*rc)))
+    def test_matrix_text_round_trip_property(self, m):
+        assert parse_matrix_text(format_matrix(m)) == m
+
+    @settings(deadline=None, max_examples=60)
+    @given(documents())
+    def test_document_round_trip_property(self, doc):
+        assert parse_document(format_document(doc)) == doc
 
 
 class TestMachineReadable:

@@ -341,6 +341,35 @@ class TestInversion:
             count += 1
 
 
+@st.composite
+def product_pairs(draw):
+    """(A, B) of shapes m x k and k x n, each of m, k, n from 0 to 3."""
+    m, k, n = (draw(st.integers(min_value=0, max_value=3)) for _ in range(3))
+    return draw(poly_matrices(m, k)), draw(poly_matrices(k, n))
+
+
+class TestRatMatrix:
+    @settings(deadline=None)
+    @given(product_pairs())
+    def test_product_agrees_across_rings(self, pair):
+        A, B = pair
+        assert RatMatrix.from_polymatrix(A) * B == RatMatrix.from_polymatrix(A * B)
+
+    def test_shape_checks(self):
+        with pytest.raises(DimensionError):
+            RatMatrix([[1, S]], cols=3)
+        with pytest.raises(DimensionError):
+            RatMatrix([], cols=-1)
+        with pytest.raises(DimensionError):
+            RatMatrix.identity(2) + RatMatrix.identity(3)
+
+    def test_never_equals_polymatrix(self):
+        assert PolyMatrix.identity(2) != RatMatrix.identity(2)
+        assert RatMatrix.identity(2) != PolyMatrix.identity(2)
+        assert RatMatrix.identity(2) == RatMatrix.from_polymatrix(PolyMatrix.identity(2))
+        assert repr(RatMatrix([[RatFunc(ONE, S)]])) == "RatMatrix([[(1)/(s)]])"
+
+
 class TestProper:
     def test_integrator(self):
         assert is_proper(PolyMatrix([[S]]), PolyMatrix([[ONE]]))
