@@ -19,8 +19,9 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .behavior import (
     InclusionWitness,
@@ -70,8 +71,9 @@ class Report:
     holds: bool | None = None
     witnesses: tuple[InclusionWitness, ...] = ()
     diagnostics: tuple[str, ...] = ()
-    sections: list[tuple[str, str]] = field(default_factory=list)
-    payload: dict = field(default_factory=dict)
+    # The command's output beyond the verdict: its text sections and its JSON
+    # fields. Formatting runs at render time, under the guard in `main`.
+    details: Callable[[], tuple[list[tuple[str, str]], dict]] = lambda: ([], {})
     elapsed: float = 0.0
 
     @property
@@ -84,7 +86,7 @@ class Report:
         lines = [f"command: {self.command} {' '.join(self.arguments)}".rstrip()]
         if self.holds is not None:
             lines.append(f"result: {'holds' if self.holds else 'FAILS'}")
-        for label, text in self.sections:
+        for label, text in self.details()[0]:
             lines.append(f"{label}: {text}")
         if not quiet:
             for w in self.witnesses:
@@ -116,7 +118,7 @@ class Report:
             "diagnostics": list(self.diagnostics),
             "elapsed_seconds": round(self.elapsed, 6),
         }
-        obj.update(self.payload)
+        obj.update(self.details()[1])
         return json.dumps(obj, indent=2)
 
 
@@ -127,8 +129,8 @@ def _check_io(report: Report, args, doc, system) -> Verdict:
         io = system
     else:
         return Verdict(False, diagnostics=("system is not in input-output form",))
-    report.sections += [("P", format_matrix(io.P)), ("Q", format_matrix(io.Q))]
-    report.payload = {"P": matrix_coeffs(io.P), "Q": matrix_coeffs(io.Q)}
+    report.details = lambda: ([("P", format_matrix(io.P)), ("Q", format_matrix(io.Q))],
+                              {"P": matrix_coeffs(io.P), "Q": matrix_coeffs(io.Q)})
     return Verdict(True)
 
 
@@ -142,8 +144,10 @@ def _eliminate(report: Report, args, doc, system) -> None:
     else:
         k = minimal_kernel(system)
     plain = Definition("kernel", f"{report.arguments[0]}_kernel", KernelRep(k.R, k.signal_labels))
-    report.sections.append(("kernel", "\n" + format_definition(plain)))
-    report.payload = {"kernel": {"vars": format_varlist(k.signal_labels), "R": matrix_coeffs(k.R)}}
+    report.details = lambda: (
+        [("kernel", "\n" + format_definition(plain))],
+        {"kernel": {"vars": format_varlist(k.signal_labels), "R": matrix_coeffs(k.R)}},
+    )
 
 
 def _smith(report: Report, args, doc, matrix: str) -> None:
@@ -152,26 +156,35 @@ def _smith(report: Report, args, doc, matrix: str) -> None:
     else:
         M = doc.get(matrix, kinds=_KERNEL).value.R
     sd = smith_form(M)
-    factors = "[" + ", ".join(str(p) for p in sd.invariant_factors) + "]"
-    report.sections += [("U", format_matrix(sd.U)), ("invariant factors", factors),
-                        ("V", format_matrix(sd.V)), ("rank", str(sd.rank))]
-    report.payload = {
-        "U": matrix_coeffs(sd.U),
-        "invariant_factors": [poly_coeffs(p) for p in sd.invariant_factors],
-        "V": matrix_coeffs(sd.V),
-        "rank": sd.rank,
-    }
+    report.details = lambda: (
+        [("U", format_matrix(sd.U)),
+         ("invariant factors", "[" + ", ".join(map(str, sd.invariant_factors)) + "]"),
+         ("V", format_matrix(sd.V)), ("rank", str(sd.rank))],
+        {
+            "U": matrix_coeffs(sd.U),
+            "invariant_factors": [poly_coeffs(p) for p in sd.invariant_factors],
+            "V": matrix_coeffs(sd.V),
+            "rank": sd.rank,
+        },
+    )
 
 
 def _conjoin(report: Report, args, doc, c1: Contract, c2: Contract) -> None:
     name = "_and_".join(report.arguments)
-    text = format_document(contract_document(name, conjunction(c1, c2)))
-    if args.out:
-        Path(args.out).write_text(text)
-        report.sections.append(("written", args.out))
-    else:
-        report.sections.append(("contract", "\n" + text.rstrip()))
-    report.payload = {"contract_name": name, "document": text}
+    document = contract_document(name, conjunction(c1, c2))
+
+    def details():
+        # Formats and, with --out, writes the document when the report is
+        # rendered, so an unprintable conjunction writes nothing.
+        text = format_document(document)
+        if args.out:
+            Path(args.out).write_text(text)
+            section = ("written", args.out)
+        else:
+            section = ("contract", "\n" + text.rstrip())
+        return [section], {"contract_name": name, "document": text}
+
+    report.details = details
 
 
 def _decision(name: str):

@@ -25,6 +25,7 @@ uses this same grammar, so outputs can be fed back in as inputs.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -41,7 +42,8 @@ MAX_EXPONENT = 1000
 
 # Largest number of digits in an integer token. It matches CPython's default
 # limit on int/str conversion, so every accepted integer also prints back;
-# a longer token is a `ParseError`.
+# a longer token is a `ParseError`. Where the interpreter's limit is set
+# lower, that limit applies instead.
 MAX_DIGITS = 4300
 
 # Largest total dimension of the signals in a ``vars`` list. Several steps
@@ -226,10 +228,10 @@ class _Parser:
 
     def parse_int(self) -> int:
         tok = self.expect("INT", "an integer")
-        if len(tok.text) > MAX_DIGITS:
-            raise self.error(
-                f"integer of {len(tok.text)} digits exceeds the maximum {MAX_DIGITS}", tok
-            )
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        cap = min(MAX_DIGITS, limit or MAX_DIGITS)
+        if len(tok.text) > cap:
+            raise self.error(f"integer of {len(tok.text)} digits exceeds the maximum {cap}", tok)
         return int(tok.text)
 
     def parse_coef(self) -> Fraction:

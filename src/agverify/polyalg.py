@@ -1,14 +1,17 @@
 """Exact univariate polynomial and rational-function arithmetic over Q.
 
-Every coefficient is a `fractions.Fraction`, so arithmetic is exact and
-zero tests are genuine decisions rather than tolerance checks. The matrix
-layer (`polymatrix`) depends on this for divisibility tests, singularity
-detection and canonical forms.
+A polynomial holds integer numerators over one positive integer denominator,
+so arithmetic is exact (zero tests are genuine decisions, not tolerance
+checks) and each coefficient operation is plain integer arithmetic. The
+matrix layer (`polymatrix`) depends on this for divisibility tests,
+singularity detection and canonical forms.
 
 Conventions:
 
-* polynomials are dense: ``coeffs[k]`` is the coefficient of ``s^k``;
-* the zero polynomial is the empty coefficient tuple and has degree ``-inf``;
+* polynomials are dense: ``num[k] / den`` is the coefficient of ``s^k``;
+  ``coeffs``, ``lc`` and ``coeff`` return `Fraction`s;
+* the form is canonical (no trailing zeros in ``num``, ``den > 0``,
+  ``gcd(den, *num) == 1``); zero is ``((), 1)`` and has degree ``-inf``;
 * gcds are monic, and rational functions are stored reduced with a monic
   denominator, so equal values are always structurally equal.
 
@@ -19,6 +22,7 @@ exactness guarantee.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Union
 
 Rational = Fraction
@@ -27,7 +31,6 @@ Scalar = Union[int, Fraction]
 NEG_INF = float("-inf")
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def _frac(x: Scalar) -> Fraction:
@@ -41,23 +44,41 @@ def _frac(x: Scalar) -> Fraction:
 class Poly:
     """Univariate polynomial in ``s`` with rational coefficients.
 
-    Immutable value type. Construct from an iterable of coefficients in
-    ascending powers; trailing zeros are stripped so equal polynomials are
-    structurally equal::
+    Immutable value type: integer numerators ``num`` in ascending powers over
+    one denominator ``den``, in the canonical form above, so equal
+    polynomials are structurally equal. Construct from ``int`` or
+    ``Fraction`` coefficients in ascending powers::
 
-        Poly([1, 0, 3])        # 3*s^2 + 1
-        Poly([])               # the zero polynomial
+        Poly([1, 0, 3])              # 3*s^2 + 1: num (1, 0, 3), den 1
+        Poly([Fraction(1, 2), 1])    # s + 1/2: num (1, 2), den 2
+        Poly([])                     # the zero polynomial
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = list(coeffs)
+        den = 1
+        for c in cs:
+            if isinstance(c, Fraction):
+                d = c.denominator
+                if den % d:
+                    den = den // gcd(den, d) * d
+            elif not isinstance(c, int):
+                raise TypeError(f"exact coefficient expected (int or Fraction), got {type(c).__name__}")
+        if den == 1:
+            num = [c.numerator for c in cs]
+        else:
+            num = [c.numerator * (den // c.denominator) for c in cs]
+        while num and not num[-1]:
+            num.pop()
+        # Over the lcm of reduced denominators the numerators share no factor
+        # with it, so the form is already canonical.
+        _set_num(self, tuple(num))
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -65,26 +86,32 @@ class Poly:
     # -- basic queries ----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients in ascending powers, as `Fraction`s."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
+
+    @property
     def degree(self) -> int | float:
         """Degree of the polynomial; ``-inf`` for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.num) - 1 if self.num else NEG_INF
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def lc(self) -> Fraction:
         """Leading coefficient (0 for the zero polynomial)."""
-        return self.coeffs[-1] if self.coeffs else _F0
+        return Fraction(self.num[-1], self.den) if self.num else _F0
 
     @property
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.num) <= 1
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of ``s^k`` (0 beyond the stored degree)."""
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else _F0
+        return Fraction(self.num[k], self.den) if 0 <= k < len(self.num) else _F0
 
     # -- ring arithmetic ---------------------------------------------------
 
@@ -92,45 +119,38 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return _add(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return _poly([-c for c in self.num], self.den)
 
     def __sub__(self, other) -> "Poly":
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _add(self, other, -1)
 
     def __rsub__(self, other) -> "Poly":
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return _add(other, self, -1)
 
     def __mul__(self, other) -> "Poly":
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.num, other.num
         if not a or not b:
             return ZERO
-        out = [_F0] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return Poly(out)
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
+        return _poly(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -147,27 +167,45 @@ class Poly:
         return result
 
     def __divmod__(self, other) -> tuple["Poly", "Poly"]:
-        """Euclidean division: ``self = q*other + r`` with ``deg r < deg other``."""
+        """Euclidean division: ``self = q*other + r`` with ``deg r < deg other``.
+
+        Fraction-free on the numerators: where the divisor's leading numerator
+        ``lb`` does not divide the leading remainder coefficient ``c``, the
+        remainder and quotient so far are scaled by ``|lb| / gcd(c, lb)``.
+        """
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero:
+        b = other.num
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
+        db = len(b) - 1
+        if len(self.num) <= db:
             return ZERO, self
-        rem = list(self.coeffs)
-        db = len(other.coeffs) - 1
-        inv_lb = 1 / other.lc
-        q = [_F0] * (len(rem) - db)
+        rem = list(self.num)
+        lb = b[-1]
+        alb = abs(lb)
+        q = [0] * (len(rem) - db)
+        scale = 1
         for i in range(len(rem) - 1, db - 1, -1):
             c = rem[i]
             if c:
-                f = c * inv_lb
+                m = alb // gcd(c, alb)
+                if m != 1:
+                    rem = [x * m for x in rem]
+                    q = [x * m for x in q]
+                    scale *= m
+                    c *= m
+                f = c // lb
                 q[i - db] = f
-                rem[i] = _F0
+                rem[i] = 0
                 for j in range(db):
-                    rem[i - db + j] -= f * other.coeffs[j]
-        return Poly(q), Poly(rem[:db])
+                    rem[i - db + j] -= f * b[j]
+        # self.num * scale == q * other.num + rem
+        den = scale * self.den
+        if other.den != 1:
+            q = [x * other.den for x in q]
+        return _poly(q, den), _poly(rem[:db], den)
 
     def __floordiv__(self, other) -> "Poly":
         return divmod(self, other)[0]
@@ -178,8 +216,10 @@ class Poly:
     def __truediv__(self, other):
         """Divide by a scalar (giving a Poly) or by a Poly (giving a RatFunc)."""
         if isinstance(other, (int, Fraction)):
-            inv = 1 / _frac(other)
-            return Poly([c * inv for c in self.coeffs])
+            if not other:
+                raise ZeroDivisionError("polynomial division by zero")
+            d = other.denominator
+            return _poly([c * d for c in self.num], self.den * other.numerator)
         if isinstance(other, Poly):
             return RatFunc(self, other)
         return NotImplemented
@@ -192,9 +232,9 @@ class Poly:
 
     def monic(self) -> "Poly":
         """Scale so the leading coefficient is 1 (zero stays zero)."""
-        if self.is_zero or self.lc == 1:
+        if self.is_zero or self.num[-1] == self.den:
             return self
-        return self / self.lc
+        return _poly(list(self.num), self.num[-1])
 
     # -- evaluation ---------------------------------------------------------
 
@@ -202,9 +242,9 @@ class Poly:
         """Exact Horner evaluation at a rational point."""
         x = _frac(x)
         acc = _F0
-        for c in reversed(self.coeffs):
+        for c in reversed(self.num):
             acc = acc * x + c
-        return acc
+        return acc / self.den
 
     # -- value protocol -----------------------------------------------------
 
@@ -212,20 +252,21 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(("Poly", self.coeffs))
+        return hash(("Poly", self.num, self.den))
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts: list[str] = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if c == 0:
                 continue
             sign = "-" if c < 0 else "+"
@@ -245,11 +286,48 @@ class Poly:
         return f"Poly({self})"
 
 
+_set_num = Poly.num.__set__
+_set_den = Poly.den.__set__
+
+
+def _poly(num: list[int], den: int) -> Poly:
+    """The canonical Poly ``num / den``: trailing zeros stripped, ``den``
+    made positive and the common factor of ``den`` and ``num`` divided out."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return ZERO
+    if den != 1:
+        if den < 0:
+            num, den = [-c for c in num], -den
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = [c // g for c in num], den // g
+    p = object.__new__(Poly)
+    _set_num(p, tuple(num))
+    _set_den(p, den)
+    return p
+
+
+def _add(a: Poly, b: Poly, sign: int) -> Poly:
+    """``a + sign * b`` for ``sign`` in {1, -1}, over the lcm of the denominators."""
+    fa, fb, den = 1, sign, a.den
+    if b.den != den:
+        g = gcd(den, b.den)
+        fa, fb, den = b.den // g, sign * (den // g), den // g * b.den
+    out = [c * fa for c in a.num] if fa != 1 else list(a.num)
+    if len(out) < len(b.num):
+        out.extend([0] * (len(b.num) - len(out)))
+    for i, c in enumerate(b.num):
+        out[i] += fb * c
+    return _poly(out, den)
+
+
 def _as_poly(x) -> "Poly":
     if isinstance(x, Poly):
         return x
     if isinstance(x, (int, Fraction)):
-        return Poly([x])
+        return _poly([x.numerator], x.denominator)
     return NotImplemented
 
 

@@ -80,6 +80,29 @@ def inclusion_instances(draw):
     return R1, R2
 
 
+@st.composite
+def rational_inclusion_instances(draw):
+    """(R1, R2) with R1 of full row rank, up to 4x5 at degree <= 3, carrying a
+    non-integer coefficient: R2 a left multiple of R1 (holds), the same with
+    R1 replaced by F * R1 (a rational multiplier when F is not unimodular), or
+    a multiple plus a constant perturbation (usually fails)."""
+    cols = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.integers(min_value=1, max_value=min(4, cols)))
+    R1 = draw(poly_matrices(rows, cols, 3, st.fractions(-3, 3, max_denominator=5)))
+    assume(any(c.denominator != 1 for row in R1.entries for e in row for c in e.coeffs))
+    assume(evaluation_rank(R1) == rows)
+    small = st.fractions(-2, 2, max_denominator=3)
+    q = draw(st.integers(min_value=1, max_value=2))
+    R2 = draw(poly_matrices(q, rows, 1, small)) * R1
+    mode = draw(st.sampled_from(("multiple", "factor", "perturbed")))
+    if mode == "factor":
+        R1 = draw(poly_matrices(rows, rows, 1, small)) * R1
+        assume(evaluation_rank(R1) == rows)
+    elif mode == "perturbed":
+        R2 = R2 + draw(poly_matrices(q, cols, 0, small))
+    return R1, R2
+
+
 class TestMinimalKernel:
     def test_dependent_rows_compress(self):
         k = kernel([[S, ZERO], [S**2, ZERO]], W2)
@@ -335,6 +358,16 @@ class TestInclusion:
         else:
             (d,) = v.diagnostics
             assert "multiplier" in d
+
+    @settings(deadline=None, max_examples=40)
+    @given(rational_inclusion_instances())
+    def test_matches_linear_solve_oracle_rational(self, instance):
+        R1, R2 = instance
+        labels = (("w", R1.cols),)
+        v = behavior_included(KernelRep(R1, labels), KernelRep(R2, labels))
+        assert v.holds == inclusion_by_linear_solve(R1, R2)
+        if v.holds:
+            assert v.witnesses[0].multiplier * R1 == R2
 
 
 class TestBehaviorEqual:

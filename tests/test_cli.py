@@ -137,6 +137,44 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("internal error: ") and err.count("\n") == 1
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [("smith", "K"), ("smith", "K", "--format", "json"), ("eliminate", "K")],
+    )
+    def test_unprintable_section_is_three(self, capsys, tmp_path, argv):
+        # A valid kernel whose Smith transform V and minimal kernel hold -1/c^2
+        # and 1/c^2, about 8,000 digits: beyond the default int-to-str limit.
+        c = "7" * 4000
+        f = tmp_path / "big.ag"
+        f.write_text(f"kernel K {{ vars w:2 R [[{c}, 1/{c}]] }}\n")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run(capsys, *argv, str(f))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_lower_digit_limit_is_two(self, capsys, tmp_path):
+        f = tmp_path / "lim.ag"
+        f.write_text(f"kernel K {{ vars w:1\n  R [[s + {'7' * 700}]] }}\n")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run(capsys, "include", "K", "K", str(f))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 2 and out == ""
+        assert err == f"error: {f}:2:11: integer of 700 digits exceeds the maximum 640\n"
+
 
 class TestCommands:
     def test_check_io(self, capsys):

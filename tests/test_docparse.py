@@ -1,5 +1,6 @@
 """Text format: lexing, parsing, validation, serialization round trips."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,22 @@ class TestPolyParsing:
         assert f"integer of {MAX_DIGITS + 1} digits exceeds the maximum {MAX_DIGITS}" in str(
             exc.value
         )
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_digit_cap_follows_interpreter_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            at_cap = parse_matrix_text(f"[[{'9' * 640}]]")[0, 0]
+            with pytest.raises(ParseError) as exc:
+                parse_matrix_text(f"[[1,\n 2*s + {'7' * 700}]]")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert at_cap == Poly([10**640 - 1])
+        assert ":2:8:" in str(exc.value)
+        assert "integer of 700 digits exceeds the maximum 640" in str(exc.value)
 
 
 class TestDefinitions:

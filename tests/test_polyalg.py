@@ -1,6 +1,7 @@
 """Scalar layer: polynomials and rational functions."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,43 @@ from agverify.polyalg import NEG_INF, ONE, S, ZERO, Poly, RatFunc, poly_gcd, pol
 coeffs = st.lists(st.integers(min_value=-6, max_value=6), max_size=5)
 polys = coeffs.map(Poly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=9)
+rational_lists = st.lists(rationals, max_size=5)
+
+
+# Reference arithmetic on plain Fraction lists (ascending powers).
+
+
+def ref_trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def ref_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a, b = a + [Fraction(0)] * (n - len(a)), b + [Fraction(0)] * (n - len(b))
+    return ref_trim(x + sign * y for x, y in zip(a, b))
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_divmod(a, b):
+    """Long division of a by b (b without trailing zeros, not empty)."""
+    rem, q = ref_trim(a), [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(rem) >= len(b):
+        shift, f = len(rem) - len(b), rem[-1] / b[-1]
+        q[shift] = f
+        rem = ref_add(rem, [Fraction(0)] * shift + [f * y for y in b], -1)
+    return ref_trim(q), rem
 
 
 class TestPolyBasics:
@@ -124,6 +162,77 @@ class TestEval:
     @given(p=polys, x=st.fractions(max_denominator=7))
     def test_matches_sum(self, p, x):
         assert p(x) == sum(c * x**k for k, c in enumerate(p.coeffs))
+
+
+class TestRationalOracle:
+    """Rational coefficients against the Fraction-list reference above."""
+
+    @given(a=rational_lists, b=rational_lists)
+    def test_ring_operations(self, a, b):
+        p, q = Poly(a), Poly(b)
+        assert (p + q).coeffs == tuple(ref_add(ref_trim(a), ref_trim(b)))
+        assert (p - q).coeffs == tuple(ref_add(ref_trim(a), ref_trim(b), -1))
+        assert (p * q).coeffs == tuple(ref_mul(ref_trim(a), ref_trim(b)))
+        assert (-p).coeffs == tuple(-x for x in ref_trim(a))
+
+    @given(a=rational_lists, b=rational_lists.filter(lambda b: any(b)))
+    def test_divmod_is_long_division(self, a, b):
+        q, r = divmod(Poly(a), Poly(b))
+        rq, rr = ref_divmod(a, ref_trim(b))
+        assert q.coeffs == tuple(rq)
+        assert r.coeffs == tuple(rr)
+
+    @given(a=rational_lists, x=rationals)
+    def test_scalar_division(self, a, x):
+        if x == 0:
+            with pytest.raises(ZeroDivisionError):
+                Poly(a) / x
+        else:
+            assert (Poly(a) / x).coeffs == tuple(c / x for c in ref_trim(a))
+
+    @given(a=rational_lists)
+    def test_monic(self, a):
+        t = ref_trim(a)
+        assert Poly(a).monic().coeffs == (tuple(c / t[-1] for c in t) if t else ())
+
+    @given(a=rational_lists, k=rationals.filter(bool))
+    def test_canonical_form(self, a, k):
+        p = Poly(a)
+        routes = (Poly([c * k for c in a]) / k, p * k / k, (p * k) * (1 / k), p + p - p)
+        for other in routes:
+            assert other == p and hash(other) == hash(p)
+        for r in (p, *routes):
+            assert r.den > 0 and gcd(r.den, *r.num) == 1
+            assert r.num[-1] != 0 if r.num else r.den == 1
+
+    def test_equal_by_different_routes(self):
+        assert Poly([Fraction(1, 2)]) * 2 == ONE
+        assert hash(Poly([Fraction(1, 2)]) * 2) == hash(ONE)
+        assert Poly([Fraction(2, 4)]) == Poly([Fraction(1, 2)])
+        assert Poly([Fraction(1, 3), 1]) * 3 - S * 3 == ONE
+        assert divmod(S / 2 + Fraction(1, 2), S + 1) == (Poly([Fraction(1, 2)]), ZERO)
+
+    @given(a=rational_lists, k=st.integers(min_value=-1, max_value=6))
+    def test_derived_values_are_fractions(self, a, k):
+        p = Poly(a)
+        assert all(type(c) is Fraction for c in p.coeffs)
+        assert p.coeffs == tuple(ref_trim(a))
+        assert type(p.lc) is Fraction and p.lc == (ref_trim(a) or [0])[-1]
+        assert type(p.coeff(k)) is Fraction
+        assert p.coeff(k) == (ref_trim(a)[k] if 0 <= k < len(ref_trim(a)) else 0)
+        assert all(type(c) is Fraction for c in Poly([1, 2]).coeffs)
+
+    @given(a=rational_lists, x=st.fractions(max_denominator=7))
+    def test_evaluation(self, a, x):
+        assert Poly(a)(x) == sum(c * x**k for k, c in enumerate(a))
+
+    def test_floats_rejected(self):
+        with pytest.raises(TypeError):
+            Poly([Fraction(1, 2), 0.5])
+        with pytest.raises(TypeError):
+            Poly([1]) / 0.5
+        with pytest.raises(TypeError):
+            Poly([Fraction(1, 3)]) / 2.0
 
 
 class TestRatFunc:

@@ -27,9 +27,8 @@ from support import det_cofactor, eval_matrix, fraction_rank, random_matrix, ran
 
 
 @st.composite
-def poly_matrices(draw, rows, cols, max_deg=2):
-    coeffs = st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=max_deg + 1)
-    entry = coeffs.map(Poly)
+def poly_matrices(draw, rows, cols, max_deg=2, coeff=st.integers(min_value=-4, max_value=4)):
+    entry = st.lists(coeff, min_size=1, max_size=max_deg + 1).map(Poly)
     return PolyMatrix([[draw(entry) for _ in range(cols)] for _ in range(rows)], cols=cols)
 
 
