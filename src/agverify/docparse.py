@@ -16,11 +16,12 @@ Grammar (EBNF sketch, ``#`` starts a line comment):
     term       := coef "*" "s" ["^" INT] | "s" ["^" INT] | coef
     coef       := INT | INT "/" INT
 
-The exponent after "^" is at most `MAX_EXPONENT`, an integer has at most
-`MAX_DIGITS` digits, and the dimensions of a varlist add up to at most
-`MAX_DIMENSION`. Rational coefficients are preserved exactly. Everything the
-toolkit prints (witness matrices, eliminated kernels, conjoined contracts)
-uses this same grammar, so outputs can be fed back in as inputs.
+An INT is a run of the ASCII digits 0-9. The exponent after "^" is at most
+`MAX_EXPONENT`, an integer has at most `MAX_DIGITS` digits, and the
+dimensions of a varlist add up to at most `MAX_DIMENSION`. Rational
+coefficients are preserved exactly. Everything the toolkit prints (witness
+matrices, eliminated kernels, conjoined contracts) uses this same grammar,
+so outputs can be fed back in as inputs.
 """
 
 from __future__ import annotations
@@ -166,9 +167,9 @@ def _tokenize(text: str, source: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(Token("INT", text[i:j], line, col))
             col += j - i
@@ -234,7 +235,8 @@ class _Parser:
             raise self.error(f"integer of {len(tok.text)} digits exceeds the maximum {cap}", tok)
         return int(tok.text)
 
-    def parse_coef(self) -> Fraction:
+    def parse_coef(self) -> int | Fraction:
+        """An integer, or a `Fraction` when written ``a/b``."""
         num = self.parse_int()
         if self.peek().kind == "SLASH":
             self.next()
@@ -243,9 +245,9 @@ class _Parser:
             if den == 0:
                 raise self.error("zero denominator", den_tok)
             return Fraction(num, den)
-        return Fraction(num)
+        return num
 
-    def parse_term(self) -> tuple[Fraction, int]:
+    def parse_term(self) -> tuple[int | Fraction, int]:
         """One monomial: returns (coefficient, power)."""
         tok = self.peek()
         if tok.kind == "INT":
@@ -257,7 +259,7 @@ class _Parser:
             return coef, 0
         if tok.kind == "NAME" and tok.text == "s":
             self.next()
-            return Fraction(1), self.parse_power()
+            return 1, self.parse_power()
         shown = tok.text if tok.kind != "EOF" else "end of input"
         raise self.error(f"expected a polynomial term, found {shown!r}")
 
@@ -272,7 +274,7 @@ class _Parser:
         return 1
 
     def parse_poly(self) -> Poly:
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict[int, int | Fraction] = {}
         sign = 1
         if self.peek().kind == "MINUS":
             self.next()
@@ -281,7 +283,7 @@ class _Parser:
             self.next()
         while True:
             coef, power = self.parse_term()
-            coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coef
+            coeffs[power] = coeffs.get(power, 0) + sign * coef
             tok = self.peek()
             if tok.kind == "PLUS":
                 sign = 1
@@ -292,7 +294,7 @@ class _Parser:
             else:
                 break
         top = max(coeffs) if coeffs else -1
-        return Poly([coeffs.get(k, Fraction(0)) for k in range(top + 1)])
+        return Poly([coeffs.get(k, 0) for k in range(top + 1)])
 
     def parse_matrix(self) -> list[list[Poly]]:
         self.expect("LBRACKET", "'['")

@@ -4,15 +4,17 @@ form, inversion and the Smith canonical form.
 Everything is exact. `PolyMatrix` (entries in Q[s]) and `RatMatrix`
 (entries in the fraction field Q(s)) share one immutable container, with its
 shape checks, sums, product and value protocol; each class adds only the
-coercion of its entries and what is particular to its ring. One
-fraction-free (Bareiss) elimination backs the determinant, the generic rank
-and the properness test, so none of them leaves the polynomial ring.
-`row_echelon` is the one reduction the behavioral decisions use: unimodular
-row operations over the Euclidean domain Q[s], carrying along whatever
-columns sit to the right, so reducing [R | I] yields the left transform with
-the echelon form. `smith_form` also applies column operations and tracks
-both transforms and their inverses; it backs the ``smith`` command and
-serves as a test oracle. `RatMatrix` and `invert_ratmatrix` back only
+coercion of its entries and what is particular to its ring. Two eliminations
+do all the work in Q[s]. A fraction-free (Bareiss) elimination backs the
+determinant, the generic rank and the properness test, so none of them
+leaves the polynomial ring. `row_echelon` is the one reduction the
+behavioral decisions use: unimodular row operations over the Euclidean
+domain Q[s], carrying along whatever columns sit to the right, so reducing
+[R | I] yields the left transform with the echelon form. `smith_form`, which
+backs the ``smith`` command, is built from the two: it alternates
+`row_echelon` on the rows and on the columns until the matrix is diagonal,
+and inverts the accumulated unimodular transforms by fraction-free
+Gauss-Jordan passes. `RatMatrix` and `invert_ratmatrix` back only
 `behavior.transfer_matrix`, an independent cross-check of state elimination,
 and no decision uses them.
 """
@@ -378,7 +380,7 @@ class SmithDecomposition:
 
     U and V are unimodular; the invariant factors are monic, nonzero and each
     divides the next. ``U_inv`` and ``V_inv`` are the (polynomial) inverses of
-    U and V, accumulated during the reduction at no extra cost.
+    U and V, so U_inv * R * V_inv is the middle factor.
     """
 
     U: PolyMatrix
@@ -420,121 +422,54 @@ class SmithDecomposition:
 def smith_form(R: PolyMatrix) -> SmithDecomposition:
     """Smith canonical form of a polynomial matrix.
 
-    Reduces R with elementary row and column operations over Q[s]. The pivot
-    is always a nonzero entry of minimal degree in the remaining submatrix
-    (ties broken by lowest row, then column index), which makes the output
-    deterministic. After clearing a pivot's row and column the remaining
-    block is forced to be divisible by the pivot, so the invariant factors
-    come out in a divisibility chain; they are normalized monic, with the
-    constants absorbed into U.
+    Alternates row echelon reductions (`row_echelon`) of [S | U_inv] and of
+    [S^T | V_inv^T], starting from S = R, so U_inv * R * V_inv = S holds
+    throughout (Kailath, Linear Systems, 1980, section 6.3). Either pass
+    leaves in each pivot position a gcd of the entries it reduced, so the
+    first pivot whose row or column is not yet clear either drops in degree
+    or has them cleared, and once clear they stay clear: S becomes diagonal,
+    monic entries on top and zeros below. If then d_i does not divide
+    d_(i+1), row i + 1 is added to row i, and the next column pass replaces
+    d_i by gcd(d_i, d_(i+1)) while d_1 .. d_(i-1) stay. Every repair thus
+    lowers the degree of a pivot without touching the ones before it, so the
+    loop ends. The diagonal is unique; the transforms are not. U and V are
+    the inverses of the unimodular U_inv and V_inv, each from one
+    fraction-free Gauss-Jordan pass (`_fraction_free`) on [W | I], which
+    leaves d * W^-1 in the right block for the constant last pivot d.
     """
     m, n = R.rows, R.cols
-    S_ = [list(row) for row in R.entries]
-    U = [list(row) for row in PolyMatrix.identity(m).entries]
-    Ui = [list(row) for row in PolyMatrix.identity(m).entries]
-    V = [list(row) for row in PolyMatrix.identity(n).entries]
-    Vi = [list(row) for row in PolyMatrix.identity(n).entries]
-
-    def swap_rows(i: int, j: int) -> None:
-        if i == j:
-            return
-        S_[i], S_[j] = S_[j], S_[i]
-        Ui[i], Ui[j] = Ui[j], Ui[i]
-        for r in U:
-            r[i], r[j] = r[j], r[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        if i == j:
-            return
-        for r in S_:
-            r[i], r[j] = r[j], r[i]
-        V[i], V[j] = V[j], V[i]
-        for r in Vi:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(dst: int, src: int, q: Poly) -> None:
-        # S[dst] += q * S[src]; keeps R = U*S*V by the matching update of U.
-        S_[dst] = [a + q * b for a, b in zip(S_[dst], S_[src])]
-        Ui[dst] = [a + q * b for a, b in zip(Ui[dst], Ui[src])]
-        for r in U:
-            r[src] = r[src] - q * r[dst]
-
-    def add_col(dst: int, src: int, q: Poly) -> None:
-        for r in S_:
-            r[dst] = r[dst] + q * r[src]
-        for r in Vi:
-            r[dst] = r[dst] + q * r[src]
-        V[src] = [a - q * b for a, b in zip(V[src], V[dst])]
-
-    def scale_row(i: int, c: Fraction) -> None:
-        S_[i] = [e * c for e in S_[i]]
-        Ui[i] = [e * c for e in Ui[i]]
-        inv = 1 / c
-        for r in U:
-            r[i] = r[i] * inv
-
-    def find_pivot(t: int) -> tuple[int, int] | None:
-        best: tuple[int | float, int, int] | None = None
-        for i in range(t, m):
-            for j in range(t, n):
-                e = S_[i][j]
-                if not e.is_zero and (best is None or e.degree < best[0]):
-                    best = (e.degree, i, j)
-        return None if best is None else (best[1], best[2])
-
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        piv = find_pivot(t)
-        if piv is None:
+    a = [list(row) + list(e) for row, e in zip(R.entries, PolyMatrix.identity(m).entries)]
+    vt = [list(row) for row in PolyMatrix.identity(n).entries]  # V_inv^T
+    while True:
+        row_echelon(a, n)  # a = [S | U_inv]
+        if any(not e.is_zero for i, row in enumerate(a) for j, e in enumerate(row[:n]) if i != j):
+            b = [list(col) + v for col, v in zip(zip(*(row[:n] for row in a)), vt)]  # [S^T | V_inv^T]
+            row_echelon(b, m)
+            vt = [row[m:] for row in b]
+            a = [list(col) + row[n:] for col, row in zip(zip(*(row[:m] for row in b)), a)]
+            continue
+        factors = [a[i][i] for i in range(min(m, n)) if not a[i][i].is_zero]
+        bad = next((i for i in range(len(factors) - 1) if not factors[i].divides(factors[i + 1])), None)
+        if bad is None:
             break
-        while True:
-            swap_rows(t, piv[0])
-            swap_cols(t, piv[1])
-            dirty = False
-            for i in range(t + 1, m):
-                if not S_[i][t].is_zero:
-                    q, r = divmod(S_[i][t], S_[t][t])
-                    add_row(i, t, -q)
-                    if not r.is_zero:
-                        dirty = True
-            for j in range(t + 1, n):
-                if not S_[t][j].is_zero:
-                    q, r = divmod(S_[t][j], S_[t][t])
-                    add_col(j, t, -q)
-                    if not r.is_zero:
-                        dirty = True
-            if dirty:
-                # Some remainder of smaller degree survived; re-pivot on it.
-                piv = find_pivot(t)
-                continue
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if not (S_[i][j] % S_[t][t]).is_zero:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            # Pull the offending row up; the next clearing pass strictly
-            # reduces the pivot degree, so this terminates.
-            add_row(t, bad, ONE)
-            piv = (t, t)
-        c = S_[t][t].lc
-        if c != 1:
-            scale_row(t, 1 / c)
-        t += 1
+        a[bad] = [x + y for x, y in zip(a[bad], a[bad + 1])]
 
-    factors = tuple(S_[i][i] for i in range(t))
+    def inverse(W: PolyMatrix) -> PolyMatrix:
+        k = W.rows
+        g = [list(w) + list(e) for w, e in zip(W.entries, PolyMatrix.identity(k).entries)]
+        _fraction_free(g, k, jordan=True)
+        d = g[-1][k - 1].lc if k else 1
+        return PolyMatrix([[e / d for e in row[k:]] for row in g], cols=k)
+
+    U_inv = PolyMatrix([row[n:] for row in a], cols=m)
+    V_inv = PolyMatrix(vt, cols=n).transpose()
     return SmithDecomposition(
-        U=PolyMatrix(U, cols=m),
-        V=PolyMatrix(V, cols=n),
-        invariant_factors=factors,
-        rank=t,
-        U_inv=PolyMatrix(Ui, cols=m),
-        V_inv=PolyMatrix(Vi, cols=n),
+        U=inverse(U_inv),
+        V=inverse(V_inv),
+        invariant_factors=tuple(factors),
+        rank=len(factors),
+        U_inv=U_inv,
+        V_inv=V_inv,
     )
 
 

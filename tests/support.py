@@ -41,29 +41,6 @@ def fraction_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-def linear_system_solvable(A: list[list[Fraction]], b: list[Fraction]) -> bool:
-    """Whether A x = b has any exact rational solution."""
-    if not A:
-        return all(x == 0 for x in b)
-    aug = [row[:] + [rhs] for row, rhs in zip(A, b)]
-    m, n = len(aug), len(A[0])
-    rank = 0
-    for c in range(n):
-        piv = next((i for i in range(rank, m) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        for i in range(rank + 1, m):
-            if aug[i][c] != 0:
-                f = aug[i][c] / aug[rank][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[rank])]
-        rank += 1
-        if rank == m:
-            break
-    # Inconsistent iff some fully-eliminated row keeps a nonzero rhs.
-    return all(any(x != 0 for x in row[:n]) or row[n] == 0 for row in aug[rank:])
-
-
 def eval_matrix(M: PolyMatrix, x: Fraction) -> list[list[Fraction]]:
     return [[e(x) for e in row] for row in M.entries]
 
@@ -105,7 +82,9 @@ def inclusion_by_linear_solve(R1: PolyMatrix, R2: PolyMatrix) -> bool:
     """Does a polynomial M with M * R1 = R2 exist?
 
     Coefficient matching with the degree bound deg(M) <= deg(R2) +
-    cols(R1) * deg(R1), solved row by row as an exact rational linear system.
+    cols(R1) * deg(R1) turns row i of M * R1 = R2 into an exact rational
+    system A x_i = b_i with one coefficient matrix A for every row, so M
+    exists iff rank A = rank [A | b_1 ... b_q].
     """
     if R1.cols != R2.cols:
         raise ValueError("column mismatch")
@@ -117,26 +96,24 @@ def inclusion_by_linear_solve(R1: PolyMatrix, R2: PolyMatrix) -> bool:
     r, k, q = R1.rows, R1.cols, R2.rows
     n_unknowns = r * (dm + 1)
     max_pow = dm + d1
-    for i in range(q):
-        rows_a: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
+    A: list[list[Fraction]] = []
+    AB: list[list[Fraction]] = []
+    # Equations ordered by power and unknowns by degree make A banded, which
+    # keeps the fill-in of the elimination small.
+    for t in range(max_pow + 1):
         for j in range(k):
-            target = R2[i, j]
-            for t in range(max_pow + 1):
-                row = [Fraction(0)] * n_unknowns
-                for l in range(r):
-                    src = R1[l, j]
-                    for d in range(dm + 1):
-                        e = t - d
-                        if 0 <= e:
-                            c = src.coeff(e)
-                            if c:
-                                row[l * (dm + 1) + d] = c
-                rows_a.append(row)
-                rhs.append(target.coeff(t))
-        if not linear_system_solvable(rows_a, rhs):
-            return False
-    return True
+            row = [Fraction(0)] * n_unknowns
+            for l in range(r):
+                src = R1[l, j]
+                for d in range(dm + 1):
+                    e = t - d
+                    if 0 <= e:
+                        c = src.coeff(e)
+                        if c:
+                            row[d * r + l] = c
+            A.append(row)
+            AB.append(row + [R2[i, j].coeff(t) for i in range(q)])
+    return fraction_rank(A) == fraction_rank(AB)
 
 
 def numeric_full_row_rank(M: PolyMatrix, rng: random.Random, tries: int = 4) -> bool:

@@ -3,6 +3,8 @@
 import json
 import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +16,11 @@ from agverify.docparse import (
     MAX_DIMENSION,
     MAX_EXPONENT,
     parse_document,
+    parse_documents,
     parse_matrix_text,
 )
+from agverify.polyalg import ZERO, Poly
+from agverify.polymatrix import PolyMatrix
 
 CORPUS = sorted(str(p) for p in agverify.corpus_dir().glob("*.ag"))
 
@@ -78,6 +83,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "include", "K", "K", str(bad))
         assert code == 2
         assert "error:" in err
+
+    def test_non_ascii_digit_is_two(self, capsys, tmp_path):
+        bad = tmp_path / "bad.ag"
+        bad.write_text("kernel K { vars w:1 R [[s^\u00b2]] }", encoding="utf-8")
+        code, out, err = run(capsys, "smith", "K", str(bad))
+        assert code == 2 and out == ""
+        assert err == f"error: {bad}:1:27: unexpected character '\u00b2'\n"
 
     def test_unknown_name_is_two(self, capsys):
         code, _, err = run(capsys, "implements", "NOPE", "C", *CORPUS)
@@ -205,6 +217,42 @@ class TestCommands:
         code, out, _ = run(capsys, "smith", "[[s^2, 0], [0, s]]", *CORPUS)
         assert code == 0
         assert "invariant factors: [s, s^2]" in out
+
+    @pytest.mark.parametrize("matrix", ["A0", "[[s^2, 0], [0, s]]"])
+    def test_smith_transforms_reconstruct(self, capsys, matrix):
+        # Smith transforms are not unique; whatever is printed must give back R.
+        if matrix.startswith("["):
+            R = parse_matrix_text(matrix)
+        else:
+            R = parse_documents([(p, Path(p).read_text()) for p in CORPUS]).get(matrix).value.R
+
+        def middle(U, factors, V):
+            return PolyMatrix(
+                [[factors[i] if i == j and i < len(factors) else ZERO for j in range(V.rows)]
+                 for i in range(U.rows)],
+                cols=V.rows,
+            )
+
+        code, out, _ = run(capsys, "smith", matrix, *CORPUS)
+        assert code == 0
+        text = dict(line.split(": ", 1) for line in out.splitlines())
+        U, V = parse_matrix_text(text["U"]), parse_matrix_text(text["V"])
+        factors = parse_matrix_text("[" + text["invariant factors"] + "]").entries[0]
+        assert U * middle(U, factors, V) * V == R
+
+        code, out, _ = run(capsys, "smith", matrix, "--format", "json", *CORPUS)
+        assert code == 0
+        obj = json.loads(out)
+
+        def poly(coeffs):
+            return Poly([Fraction(c) for c in coeffs])
+
+        def matrix_of(grid):
+            return PolyMatrix([[poly(e) for e in row] for row in grid], cols=len(grid[0]))
+
+        U, V = matrix_of(obj["U"]), matrix_of(obj["V"])
+        factors = [poly(f) for f in obj["invariant_factors"]]
+        assert U * middle(U, factors, V) * V == R
 
     def test_include(self, capsys, tmp_path):
         f = tmp_path / "k.ag"

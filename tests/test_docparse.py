@@ -105,6 +105,16 @@ class TestPolyParsing:
             parse_document("kernel K { vars y:1 R [[s$]] }")
         assert "unexpected character" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "text, col",
+        [("kernel K { vars w:1 R [[s^\u00b2]] }", 27), ("kernel K { vars w:\u00b2 R [[s]] }", 19)],
+    )
+    def test_non_ascii_digit_is_unexpected_character(self, text, col):
+        # str.isdigit() accepts a superscript two; only 0-9 make an integer.
+        with pytest.raises(ParseError) as exc:
+            parse_document(text)
+        assert f":1:{col}: unexpected character '\u00b2'" in str(exc.value)
+
     def test_zero_denominator(self):
         with pytest.raises(ParseError):
             parse_matrix_text("[[1/0]]")

@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from agverify.polyalg import ONE, S, ZERO, Poly, RatFunc
+from agverify.polyalg import ONE, S, ZERO, Poly, RatFunc, poly_gcd
 from agverify.polymatrix import (
     DimensionError,
     PolyMatrix,
@@ -24,6 +25,17 @@ from agverify.polymatrix import (
     vstack,
 )
 from support import det_cofactor, eval_matrix, fraction_rank, random_matrix, random_unimodular
+
+
+def minor_gcd(M: PolyMatrix, k: int) -> Poly:
+    """Monic gcd of the k x k minors of M, by cofactor expansion; zero if all vanish."""
+    g = ZERO
+    for rsel in combinations(range(M.rows), k):
+        for csel in combinations(range(M.cols), k):
+            minor = det_cofactor(M.take_rows(rsel).take_cols(csel))
+            if not minor.is_zero:
+                g = poly_gcd(g, minor)
+    return g
 
 
 @st.composite
@@ -279,30 +291,31 @@ class TestSmith:
 
     def test_minor_gcd_oracle(self):
         # d_1 * ... * d_k equals the monic gcd of all k x k minors.
-        from itertools import combinations
-
-        from agverify.polyalg import poly_gcd
-
         rng = random.Random(97)
         for _ in range(20):
             m, n = rng.randint(1, 3), rng.randint(1, 3)
             M = random_matrix(rng, m, n, 2)
             sd = smith_form(M)
-            for k in range(1, sd.rank + 1):
-                minors = [
-                    det_cofactor(M.take_rows(rsel).take_cols(csel))
-                    for rsel in combinations(range(m), k)
-                    for csel in combinations(range(n), k)
-                ]
-                g = None
-                for minor in minors:
-                    if not minor.is_zero:
-                        g = minor if g is None else poly_gcd(g, minor)
-                assert g is not None
-                product = ONE
-                for d in sd.invariant_factors[:k]:
-                    product = product * d
-                assert product == g.monic()
+            product = ONE
+            for k, d in enumerate(sd.invariant_factors, 1):
+                product = product * d
+                assert product == minor_gcd(M, k)
+
+    @settings(deadline=None)
+    @given(rank_instances())
+    @example(PolyMatrix.diag([S, S + 1]))  # s does not divide s + 1: factors (1, s^2 + s)
+    def test_decomposition_property(self, R):
+        sd = smith_form(R)
+        assert sd.reconstruct() == R
+        assert sd.U * sd.U_inv == PolyMatrix.identity(R.rows)
+        assert sd.V * sd.V_inv == PolyMatrix.identity(R.cols)
+        factors = sd.invariant_factors
+        assert all(a.divides(b) for a, b in zip(factors, factors[1:]))
+        assert sd.rank == rank_generic(R)
+        product = ONE
+        for k, d in enumerate(factors, 1):
+            product = product * d
+            assert product == minor_gcd(R, k)
 
 
 class TestInversion:
