@@ -7,8 +7,10 @@ input-output form), conversions between them by exact latent-variable
 elimination, and the central decision procedure `behavior_included`, which
 decides containment of one behavior in another and produces a polynomial
 multiplier certificate that third parties can re-check by a single matrix
-multiplication. Minimization, elimination and inclusion all run on one
-one-sided reduction, `polymatrix.row_echelon`.
+multiplication. Minimization and elimination run on one one-sided reduction,
+`polymatrix.row_echelon`. Inclusion solves for the multiplier by Cramer's
+rule, with one fraction-free (Bareiss) pass, and reduces the source with
+`row_echelon` first only when its rows are dependent.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .polyalg import Poly, S, Scalar, _frac
+from .polyalg import ONE, Poly, S, Scalar, _frac
 from .polymatrix import (
     DimensionError,
     PolyMatrix,
     RatMatrix,
     SingularMatrixError,
+    _fraction_free,
     determinant,
     hstack,
     invert_ratmatrix,
@@ -362,61 +365,76 @@ def transfer_matrix(s: StateSpace) -> RatMatrix:
     return (RatMatrix.from_polymatrix(s.C) * resolvent * s.B) + RatMatrix.from_polymatrix(s.D)
 
 
+def _left_quotient(src: Sequence[Sequence[Poly]], target: PolyMatrix) -> PolyMatrix | str | None:
+    """The M with M * src = target for src of full row rank, by Cramer's rule.
+
+    One fraction-free Gauss-Jordan pass on [src^T | target^T], scanning the
+    r = rows(src) columns of src^T, leaves on top d * [I | X] for
+    X = src_J^-T target_J^T, where J are the r columns of src whose rows of
+    src^T became the pivot rows and d = det src_J is the last pivot. Below,
+    it leaves the (r + 1) x (r + 1) minors that border src_J with another
+    column of src and a row of target, which all vanish iff a rational M
+    exists. M is then X^T, polynomial iff d divides d * X. Returns None when
+    src is rank deficient, and the reason when no polynomial M exists.
+    """
+    r, n = len(src), target.cols
+    g = [[row[j] for row in src] + [row[j] for row in target.entries] for j in range(n)]
+    column = {id(row): j for j, row in enumerate(g)}  # the pass permutes g's rows
+    if _fraction_free(g, r, jordan=True)[0] < r:
+        return None
+    for row in g[r:]:
+        for k, e in enumerate(row[r:]):
+            if not e.is_zero:
+                return (
+                    f"no polynomial multiplier exists: row {k} is not a rational combination of "
+                    f"the source rows in source column {column[id(row)]} (bordered minor {e})"
+                )
+    d = g[r - 1][r - 1] if r else ONE
+    M = []
+    for k in range(target.rows):
+        M.append([])
+        for i in range(r):
+            quot, rem = divmod(g[i][r + k], d)
+            if not rem.is_zero:
+                J = sorted(column[id(row)] for row in g[:r])
+                return (
+                    f"multiplier is not polynomial: entry ({k}, {i}) requires dividing "
+                    f"{g[i][r + k]} by the pivot {d} in source columns {J}, remainder {rem}"
+                )
+            M[k].append(quot)
+    return PolyMatrix(M, cols=r)
+
+
 def behavior_included(r1: KernelRep, r2: KernelRep) -> Verdict:
     """Decide ker r1 contained-in ker r2, with a multiplier certificate.
 
-    Inclusion holds iff r2.R factors as M * r1.R for a polynomial M.
-    Reducing [r1.R | I] to echelon form gives H = W * r1.R for a unimodular
-    W: the r nonzero rows of H span the row module of r1.R and are
-    independent, so a rank-deficient r1 is fine. Each row of r2.R is then
-    solved against H by forward substitution along the pivot columns: at
-    each pivot the multiplier entry is the quotient by the monic pivot,
-    which must be exact, and after the last pivot nothing may remain. On
-    success the witness X * W_top is assembled against the *original* r1.R,
-    so the certificate can be re-checked without re-running any part of this
-    procedure. On failure the diagnostic names the first offending entry.
+    Inclusion holds iff r2.R factors as M * r1.R for a polynomial M. When
+    r1.R has full row rank, M is unique and one fraction-free pass solves for
+    it by Cramer's rule (`_left_quotient`): the pass decides whether a
+    rational M exists, and the last pivot, the determinant of r1.R on its
+    pivot columns, must divide every numerator. A rank-deficient r1.R is
+    first reduced to echelon form, H = W_top * r1.R with H of full row rank
+    and the same row module; the same solve against H gives M_H, and the
+    witness is M_H * W_top. Either way the witness is checked against the
+    *original* r1.R, so the certificate can be re-checked without re-running
+    any part of this procedure. On failure the diagnostic names the first
+    offending entry.
     """
     if r1.signal_labels != r2.signal_labels:
         raise SignalSpaceError(
             f"signal spaces differ: {r1.signal_labels} vs {r2.signal_labels}"
         )
     n, m = r1.R.cols, r1.R.rows
-    a = [list(row) + list(e) for row, e in zip(r1.R.entries, PolyMatrix.identity(m).entries)]
-    pivots = row_echelon(a, n)
-    X = []
-    for i, target in enumerate(r2.R.entries):
-        rest = list(target)
-        x = []
-        for k, c in enumerate(pivots):
-            quot, rem = divmod(rest[c], a[k][c])
-            if not rem.is_zero:
-                return Verdict(
-                    holds=False,
-                    diagnostics=(
-                        f"multiplier is not polynomial: row {i} requires dividing {rest[c]} "
-                        f"by the pivot {a[k][c]} in column {c}, remainder {rem}",
-                    ),
-                )
-            if not quot.is_zero:
-                rest = [e - quot * h for e, h in zip(rest, a[k][:n])]
-            x.append(quot)
-        for j, e in enumerate(rest):
-            if not e.is_zero:
-                return Verdict(
-                    holds=False,
-                    diagnostics=(
-                        "no polynomial multiplier exists: after the last pivot "
-                        f"row {i} still carries {e} in column {j}",
-                    ),
-                )
-        X.append(x)
-    W_top = PolyMatrix([row[n:] for row in a[: len(pivots)]], cols=m)
-    witness = InclusionWitness(
-        multiplier=PolyMatrix(X, cols=len(pivots)) * W_top,
-        source=r1.R,
-        target=r2.R,
-        label="inclusion",
-    )
+    M = _left_quotient(r1.R.entries, r2.R)
+    if M is None:
+        a = [list(row) + list(e) for row, e in zip(r1.R.entries, PolyMatrix.identity(m).entries)]
+        rank = len(row_echelon(a, n))
+        M = _left_quotient([row[:n] for row in a[:rank]], r2.R)
+        if isinstance(M, PolyMatrix):
+            M = M * PolyMatrix([row[n:] for row in a[:rank]], cols=m)
+    if isinstance(M, str):
+        return Verdict(holds=False, diagnostics=(M,))
+    witness = InclusionWitness(multiplier=M, source=r1.R, target=r2.R, label="inclusion")
     return Verdict(holds=True, witnesses=(witness,))
 
 

@@ -16,6 +16,7 @@ rendered), which decides nothing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -236,7 +237,9 @@ def run_command(args: argparse.Namespace, doc: Document) -> Report:
     return report
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"

@@ -309,6 +309,27 @@ def _poly(num: list[int], den: int) -> Poly:
     return p
 
 
+def _make_primitive(row: list[Poly]) -> None:
+    """Scale ``row`` in place by a positive rational so that its entries have
+    integer coefficients with no common factor (a zero row stays)."""
+    den = 1
+    for p in row:
+        if den % p.den:
+            den = den // gcd(den, p.den) * p.den
+    # Over the common denominator ``den`` the row's integer coefficients are
+    # num * (den // p.den); g is their gcd.
+    g = 0
+    for p in row:
+        if p.num:
+            g = gcd(g, gcd(*p.num) * (den // p.den))
+    if g == 0 or (den == 1 and g == 1):
+        return
+    for j, p in enumerate(row):
+        if p.num:
+            f = den // p.den
+            row[j] = _poly([c * f // g for c in p.num], 1)
+
+
 def _add(a: Poly, b: Poly, sign: int) -> Poly:
     """``a + sign * b`` for ``sign`` in {1, -1}, over the lcm of the denominators."""
     fa, fb, den = 1, sign, a.den

@@ -6,11 +6,12 @@ Everything is exact. `PolyMatrix` (entries in Q[s]) and `RatMatrix`
 shape checks, sums, product and value protocol; each class adds only the
 coercion of its entries and what is particular to its ring. Two eliminations
 do all the work in Q[s]. A fraction-free (Bareiss) elimination backs the
-determinant, the generic rank and the properness test, so none of them
-leaves the polynomial ring. `row_echelon` is the one reduction the
-behavioral decisions use: unimodular row operations over the Euclidean
-domain Q[s], carrying along whatever columns sit to the right, so reducing
-[R | I] yields the left transform with the echelon form. `smith_form`, which
+determinant, the generic rank, the properness test and the Cramer solve of
+`behavior.behavior_included`, so none of them leaves the polynomial ring.
+`row_echelon` is the reduction behind minimization and latent elimination:
+unimodular row operations over the Euclidean domain Q[s], carrying along
+whatever columns sit to the right, so reducing [R | I] yields the left
+transform with the echelon form. `smith_form`, which
 backs the ``smith`` command, is built from the two: it alternates
 `row_echelon` on the rows and on the columns until the matrix is diagonal,
 and inverts the accumulated unimodular transforms by fraction-free
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .polyalg import ONE, ZERO, Poly, RatFunc, _as_poly, _as_ratfunc
+from .polyalg import ONE, ZERO, Poly, RatFunc, _as_poly, _as_ratfunc, _make_primitive
 
 
 class DimensionError(ValueError):
@@ -304,8 +305,11 @@ def row_echelon(a: list[list[Poly]], ncols: int) -> list[int]:
     with W unimodular. Each column pivots on its lowest-degree nonzero entry
     at or below the current rank (ties go to the lowest row); the entries
     below are replaced by their remainders modulo the pivot, and while one
-    survives it becomes the next, lower-degree pivot. The pivot is then made
-    monic. Entries above the pivots are left as they are.
+    survives it becomes the next, lower-degree pivot. Each row so updated is
+    scaled by a nonzero rational to integer coefficients with gcd 1, which
+    keeps the coefficients of the rows short; a constant scaling is
+    unimodular, and the pivot rows come out the same, because each pivot is
+    made monic at the end. Entries above the pivots are left as they are.
 
     Returns the pivot columns; their count is the generic rank, and the rows
     from there down are zero in the scanned columns.
@@ -330,6 +334,7 @@ def row_echelon(a: list[list[Poly]], ncols: int) -> list[int]:
                     for j in range(c + 1, width):
                         if not prow[j].is_zero:
                             row[j] = row[j] - q * prow[j]
+                    _make_primitive(row)
             # A surviving remainder has lower degree than the pivot: re-pivot.
             live = [i for i in range(rank + 1, rows) if not a[i][c].is_zero]
         lc = a[rank][c].lc

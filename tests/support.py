@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 from agverify import KernelRep, Poly, PolyMatrix, StateSpace
 from agverify.polyalg import ZERO
@@ -84,7 +85,9 @@ def inclusion_by_linear_solve(R1: PolyMatrix, R2: PolyMatrix) -> bool:
     Coefficient matching with the degree bound deg(M) <= deg(R2) +
     cols(R1) * deg(R1) turns row i of M * R1 = R2 into an exact rational
     system A x_i = b_i with one coefficient matrix A for every row, so M
-    exists iff rank A = rank [A | b_1 ... b_q].
+    exists iff rank A = rank [A | b_1 ... b_q], that is iff no pivot of the
+    row echelon form of [A | b_1 ... b_q] falls in the b columns. Each
+    equation is scaled to integers, so one integer elimination decides.
     """
     if R1.cols != R2.cols:
         raise ValueError("column mismatch")
@@ -96,8 +99,7 @@ def inclusion_by_linear_solve(R1: PolyMatrix, R2: PolyMatrix) -> bool:
     r, k, q = R1.rows, R1.cols, R2.rows
     n_unknowns = r * (dm + 1)
     max_pow = dm + d1
-    A: list[list[Fraction]] = []
-    AB: list[list[Fraction]] = []
+    AB: list[list[int]] = []
     # Equations ordered by power and unknowns by degree make A banded, which
     # keeps the fill-in of the elimination small.
     for t in range(max_pow + 1):
@@ -111,9 +113,38 @@ def inclusion_by_linear_solve(R1: PolyMatrix, R2: PolyMatrix) -> bool:
                         c = src.coeff(e)
                         if c:
                             row[d * r + l] = c
-            A.append(row)
-            AB.append(row + [R2[i, j].coeff(t) for i in range(q)])
-    return fraction_rank(A) == fraction_rank(AB)
+            row += [R2[i, j].coeff(t) for i in range(q)]
+            den = lcm(*(x.denominator for x in row))
+            AB.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
+    return not _pivot_beyond(AB, n_unknowns)
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries (a zero row stays)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _pivot_beyond(a: list[list[int]], ncols: int) -> bool:
+    """Does the row echelon form of the integer matrix ``a`` have a pivot
+    beyond its first ``ncols`` columns? Fraction-free elimination of those
+    columns in place, each updated row divided by the gcd of its entries,
+    then a look at what remains below the rank."""
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        prow, p = a[rank], a[rank][c]
+        for i in range(rank + 1, len(a)):
+            f = a[i][c]
+            if f:
+                a[i] = _primitive([p * x - f * y for x, y in zip(a[i], prow)])
+        rank += 1
+        if rank == len(a):
+            break
+    return any(any(row[ncols:]) for row in a[rank:])
 
 
 def numeric_full_row_rank(M: PolyMatrix, rng: random.Random, tries: int = 4) -> bool:

@@ -103,6 +103,34 @@ def rational_inclusion_instances(draw):
     return R1, R2
 
 
+@st.composite
+def rank_deficient_rational_instances(draw):
+    """(R1, R2) with R1 rank deficient and carrying non-integer coefficients:
+    up to 3 independent rows of up to 4 columns at degree <= 2, some mixed by
+    a square factor F (a rational multiplier when F is not unimodular), and
+    1-2 polynomial combinations of them, in shuffled order. R2 is a left
+    multiple of the independent rows (holds unless F was applied), or that
+    plus a constant perturbation (usually fails)."""
+    cols = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.integers(min_value=1, max_value=min(3, cols)))
+    base = draw(poly_matrices(rows, cols, 2, st.fractions(-3, 3, max_denominator=5)))
+    assume(any(c.denominator != 1 for row in base.entries for e in row for c in e.coeffs))
+    assume(evaluation_rank(base) == rows)
+    small = st.fractions(-2, 2, max_denominator=3)
+    q = draw(st.integers(min_value=1, max_value=2))
+    R2 = draw(poly_matrices(q, rows, 1, small)) * base
+    mode = draw(st.sampled_from(("multiple", "factor", "perturbed")))
+    if mode == "factor":
+        base = draw(poly_matrices(rows, rows, 1, small)) * base
+        assume(evaluation_rank(base) == rows)
+    elif mode == "perturbed":
+        R2 = R2 + draw(poly_matrices(q, cols, 0, small))
+    extra = draw(poly_matrices(draw(st.integers(min_value=1, max_value=2)), rows, 1, small))
+    R1 = vstack(base, extra * base)
+    order = draw(st.permutations(range(R1.rows)))
+    return R1.take_rows(order), R2
+
+
 class TestMinimalKernel:
     def test_dependent_rows_compress(self):
         k = kernel([[S, ZERO], [S**2, ZERO]], W2)
@@ -273,6 +301,51 @@ class TestInclusion:
         assert "pivot s^2" in d
         assert d.endswith("remainder s")
 
+    def test_rational_but_not_polynomial_multiplier(self):
+        # [1, 0] = [1/s, -1/s^2] * R1, and no polynomial multiplier exists.
+        R1, R2 = [[S, ONE], [ZERO, S]], [[ONE, ZERO]]
+        v = behavior_included(kernel(R1, W2), kernel(R2, W2))
+        assert not v.holds
+        (d,) = v.diagnostics
+        assert d.startswith("multiplier is not polynomial:")
+        assert "pivot s^2" in d
+        assert not inclusion_by_linear_solve(PolyMatrix(R1), PolyMatrix(R2))
+
+    def test_target_outside_rational_row_space(self):
+        v = behavior_included(kernel([[S, ZERO]], W2), kernel([[S, ONE]], W2))
+        assert not v.holds
+        (d,) = v.diagnostics
+        assert d.startswith("no polynomial multiplier exists: row 0 ")
+        assert "source column 1" in d
+
+    def test_rank_deficient_source_needs_transform(self):
+        # Neither row of R1 divides [1, 0]; their combination -row0 + row1 does.
+        r1 = kernel([[S, ZERO], [S + 1, ZERO]], W2)
+        v = behavior_included(r1, kernel([[ONE, ZERO]], W2))
+        assert v.holds
+        assert v.witnesses[0].multiplier == PolyMatrix([[-ONE, ONE]])
+        v = behavior_included(r1, kernel([[ZERO, ONE]], W2))
+        assert not v.holds
+        assert "source column 1" in v.diagnostics[0]
+
+    def test_zero_row_source(self):
+        free = kernel([], W2)
+        v = behavior_included(free, kernel([[ZERO, ZERO]], W2))
+        assert v.holds
+        assert v.witnesses[0].multiplier == PolyMatrix([[]], cols=0)
+        v = behavior_included(free, kernel([[ZERO, S]], W2))
+        assert not v.holds
+        (d,) = v.diagnostics
+        assert d.startswith("no polynomial multiplier exists:")
+        assert "source column 1" in d
+
+    def test_zero_row_target(self):
+        everything = kernel([], W2)
+        for R1 in ([[S, ONE]], [[S, ONE], [S**2, S]]):
+            v = behavior_included(kernel(R1, W2), everything)
+            assert v.holds
+            assert v.witnesses[0].multiplier == PolyMatrix([], cols=len(R1))
+
     def test_full_space_only_contains_everything(self):
         free = kernel([], (("w", 1),))
         v = behavior_included(free, kernel([[S]]))
@@ -368,6 +441,20 @@ class TestInclusion:
         assert v.holds == inclusion_by_linear_solve(R1, R2)
         if v.holds:
             assert v.witnesses[0].multiplier * R1 == R2
+
+
+    @settings(deadline=None, max_examples=40)
+    @given(rank_deficient_rational_instances())
+    def test_rank_deficient_rational_sources_match_oracle(self, instance):
+        R1, R2 = instance
+        labels = (("w", R1.cols),)
+        v = behavior_included(KernelRep(R1, labels), KernelRep(R2, labels))
+        assert v.holds == inclusion_by_linear_solve(R1, R2)
+        if v.holds:
+            assert v.witnesses[0].multiplier * R1 == R2
+        else:
+            (d,) = v.diagnostics
+            assert "multiplier" in d
 
 
 class TestBehaviorEqual:

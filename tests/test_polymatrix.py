@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -66,7 +67,7 @@ def proper_instances(draw):
 
 
 @st.composite
-def rank_instances(draw):
+def rank_instances(draw, coeff=st.integers(min_value=-4, max_value=4)):
     """m x n matrices, 0 rows and 0 columns included. Half are a product
     through an inner dimension below min(m, n), so their rank is deficient;
     half have a column that is a multiple of the first, so elimination must
@@ -75,9 +76,9 @@ def rank_instances(draw):
     n = draw(st.integers(min_value=0, max_value=4))
     if min(m, n) > 0 and draw(st.booleans()):
         k = draw(st.integers(min_value=0, max_value=min(m, n) - 1))
-        R = draw(poly_matrices(m, k, 1)) * draw(poly_matrices(k, n, 1))
+        R = draw(poly_matrices(m, k, 1, coeff)) * draw(poly_matrices(k, n, 1, coeff))
     else:
-        R = draw(poly_matrices(m, n, 2))
+        R = draw(poly_matrices(m, n, 2, coeff))
     if n > 1 and draw(st.booleans()):
         j = draw(st.integers(min_value=1, max_value=n - 1))
         f = draw(poly_matrices(1, 1, 1))[0, 0]
@@ -220,6 +221,22 @@ class TestRowEchelon:
             assert all(H[k, j].is_zero for j in range(c))
             assert all(H[i, c].is_zero for i in range(k + 1, m))
         assert H.take_rows(range(r, m)).is_zero
+
+    @settings(deadline=None)
+    @given(
+        rank_instances(st.fractions(-3, 3, max_denominator=5)),
+        st.lists(st.fractions(-3, 3, max_denominator=5).filter(bool), min_size=4, max_size=4),
+    )
+    def test_rows_below_rank_primitive_and_pivot_rows_scale_free(self, R, scales):
+        m, n = R.rows, R.cols
+        grid = [list(row) + list(e) for row, e in zip(R.entries, PolyMatrix.identity(m).entries)]
+        scaled = [[e * c for e in row] for row, c in zip(grid, scales)]
+        r = len(row_echelon(grid, n))
+        assert len(row_echelon(scaled, n)) == r
+        assert grid[:r] == scaled[:r]
+        for row in grid[r:]:
+            assert all(e.den == 1 for e in row)
+            assert gcd(*(c for e in row for c in e.num)) == 1
 
     def test_entries_above_pivots_stay(self):
         a = [[Poly([-2]), Poly([-1]), ONE, ZERO], [ZERO, Poly([-1]), ZERO, ONE]]
