@@ -56,6 +56,7 @@ from .polymatrix import (
     DimensionError,
     PolyMatrix,
     RatMatrix,
+    SelfCheckError,
     SingularMatrixError,
     SmithDecomposition,
     block,

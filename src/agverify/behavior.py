@@ -7,10 +7,10 @@ input-output form), conversions between them by exact latent-variable
 elimination, and the central decision procedure `behavior_included`, which
 decides containment of one behavior in another and produces a polynomial
 multiplier certificate that third parties can re-check by a single matrix
-multiplication. Minimization and elimination run on one one-sided reduction,
-`polymatrix.row_echelon`. Inclusion solves for the multiplier by Cramer's
-rule, with one fraction-free (Bareiss) pass, and reduces the source with
-`row_echelon` first only when its rows are dependent.
+multiplication. Minimization and elimination are one `polymatrix.row_echelon`
+scan each, so their results are minimal by construction. Inclusion solves the
+multiplier by Cramer's rule with one fraction-free (Bareiss) pass, reducing
+the source with `row_echelon` first only when its rows are dependent.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ from .polymatrix import (
     DimensionError,
     PolyMatrix,
     RatMatrix,
+    SelfCheckError,
     SingularMatrixError,
     _fraction_free,
     determinant,
     hstack,
     invert_ratmatrix,
     is_proper,
-    rank_generic,
     row_echelon,
     # No decision here uses it; perfbench/test_instances.py::
     # test_tracer_restores_every_original expects to find it in this module.
@@ -59,18 +59,22 @@ def signal_dim(labels: Signals) -> int:
     return sum(dim for _, dim in labels)
 
 
+def _io_labels(m: int, p: int) -> Signals:
+    """Blocks u:m and y:p of an input-output signal space, each if nonempty."""
+    return tuple(block for block in (("u", m), ("y", p)) if block[1])
+
+
 @dataclass(frozen=True, slots=True)
 class KernelRep:
     """Behavior {w : R(d/dt) w = 0} over named signal blocks.
 
     A zero-row R denotes the full signal space; R = I denotes the behavior
-    containing only the zero trajectory. When ``minimal`` is set, R is
-    checked to have full generic row rank.
+    containing only the zero trajectory. `minimal_kernel` and
+    `eliminate_latent` return an R of full generic row rank.
     """
 
     R: PolyMatrix
     signal_labels: Signals
-    minimal: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "signal_labels", _signals(self.signal_labels))
@@ -78,8 +82,6 @@ class KernelRep:
             raise DimensionError(
                 f"matrix has {self.R.cols} columns but signals span {self.dim} dimensions"
             )
-        if self.minimal and rank_generic(self.R) != self.R.rows:
-            raise ValueError("representation flagged minimal but rows are dependent")
 
     @property
     def dim(self) -> int:
@@ -87,7 +89,7 @@ class KernelRep:
 
     def with_signal_labels(self, labels: Iterable) -> "KernelRep":
         """Same matrix over a relabeled signal space of equal dimension."""
-        return KernelRep(self.R, labels, minimal=self.minimal)
+        return KernelRep(self.R, labels)
 
     def __repr__(self) -> str:
         sig = ", ".join(f"{n}:{d}" for n, d in self.signal_labels)
@@ -201,12 +203,7 @@ class IoSystem:
 
     def kernel(self) -> KernelRep:
         """Kernel representation [-Q  P] over the stacked (u, y) signals."""
-        labels = []
-        if self.m:
-            labels.append(("u", self.m))
-        if self.p:
-            labels.append(("y", self.p))
-        return KernelRep(hstack(-self.Q, self.P), labels)
+        return KernelRep(hstack(-self.Q, self.P), _io_labels(self.m, self.p))
 
     def __repr__(self) -> str:
         return f"IoSystem(P={self.P}, Q={self.Q})"
@@ -227,7 +224,7 @@ class InclusionWitness:
 
     def __post_init__(self):
         if self.multiplier * self.source != self.target:
-            raise ValueError("invalid witness: multiplier * source != target")
+            raise SelfCheckError("invalid witness: multiplier * source != target")
 
 
 @dataclass(frozen=True)
@@ -273,30 +270,30 @@ def minimal_kernel(k: KernelRep) -> KernelRep:
 
     `row_echelon` reduces R by unimodular row operations, which keep its row
     module and hence its kernel; the nonzero echelon rows, one per pivot,
-    span that module and are independent. Each starts with a monic pivot.
-    Minimal representations are unique only up to a unimodular left factor.
+    span that module and are independent; reduced again, they come back
+    unchanged. Minimal representations are unique only up to a unimodular
+    left factor.
     """
-    if k.minimal:
-        return k
     a = [list(row) for row in k.R.entries]
     rank = len(row_echelon(a, k.R.cols))
-    return KernelRep(PolyMatrix(a[:rank], cols=k.R.cols), k.signal_labels, minimal=True)
+    return KernelRep(PolyMatrix(a[:rank], cols=k.R.cols), k.signal_labels)
 
 
 def eliminate_latent(l: LatentRep) -> KernelRep:
     """Project a latent-variable representation onto its manifest signals.
 
-    Reducing [E | manifest] to echelon form on the columns of the latent map
-    E gives W E = [H; 0] and W manifest = [M1; M2] for a unimodular W. Every
-    w with M2 w = 0 has a latent l with H l = M1 w, because H has full row
-    rank and so is surjective on smooth functions; the rows M2 below the rank
-    therefore describe the projected behavior exactly.
+    One `row_echelon` scan of [E | manifest], on E's columns and then on the
+    manifest's, gives W E = [H; 0; 0] and W manifest = [M1; M2; 0] for a
+    unimodular W, with H and M2 of full row rank. Every w with M2 w = 0 has
+    a latent l with H l = M1 w, as H is surjective on smooth functions, so
+    M2 is a minimal representation of the projected behavior.
     """
     E, M = l.latent_map, l.manifest
     a = [list(e) + list(m) for e, m in zip(E.entries, M.entries)]
-    rank = len(row_echelon(a, E.cols))
-    kept = PolyMatrix([row[E.cols:] for row in a[rank:]], cols=M.cols)
-    return minimal_kernel(KernelRep(kept, l.signal_labels))
+    pivots = row_echelon(a, E.cols + M.cols)
+    rank = sum(c < E.cols for c in pivots)
+    kept = PolyMatrix([row[E.cols:] for row in a[rank:len(pivots)]], cols=M.cols)
+    return KernelRep(kept, l.signal_labels)
 
 
 def statespace_to_kernel(s: StateSpace) -> KernelRep:
@@ -308,12 +305,7 @@ def statespace_to_kernel(s: StateSpace) -> KernelRep:
         hstack(-s.D, PolyMatrix.identity(p)),
     )
     latent = vstack(PolyMatrix.identity(n) * S - s.A, s.C)
-    labels = []
-    if m:
-        labels.append(("u", m))
-    if p:
-        labels.append(("y", p))
-    return eliminate_latent(LatentRep(manifest, latent, labels))
+    return eliminate_latent(LatentRep(manifest, latent, _io_labels(m, p)))
 
 
 def statespace_to_io(s: StateSpace) -> IoSystem:

@@ -8,9 +8,9 @@ through it. Every positional that names a definition is looked up with the
 kinds it may name before the handler runs.
 
 Exit codes: 0 when the checked property holds (or output was produced),
-1 when the property fails, 2 on parse or validation errors, 3 on an internal
-fault (an inexact division, a failed self-check or a report that cannot be
-rendered), which decides nothing.
+1 when the property fails, 2 on parse or validation errors or an unwritable
+``--out`` file, 3 on an internal fault (an inexact division, a failed
+self-check or a report that cannot be rendered), which decides nothing.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import Callable
 from .behavior import (
     InclusionWitness,
     IoSystem,
-    KernelRep,
     LatentRep,
     StateSpace,
     Verdict,
@@ -55,7 +54,7 @@ from .docparse import (
     parse_matrix_text,
     poly_coeffs,
 )
-from .polymatrix import smith_form
+from .polymatrix import SelfCheckError, smith_form
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -144,7 +143,7 @@ def _eliminate(report: Report, args, doc, system) -> None:
         k = eliminate_latent(system)
     else:
         k = minimal_kernel(system)
-    plain = Definition("kernel", f"{report.arguments[0]}_kernel", KernelRep(k.R, k.signal_labels))
+    plain = Definition("kernel", f"{report.arguments[0]}_kernel", k)
     report.details = lambda: (
         [("kernel", "\n" + format_definition(plain))],
         {"kernel": {"vars": format_varlist(k.signal_labels), "R": matrix_coeffs(k.R)}},
@@ -278,12 +277,12 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_ERROR
         doc = parse_documents(sources)
         report = run_command(args, doc)
+    except (ArithmeticError, RuntimeError, SelfCheckError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (DocumentError, IoFormError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ArithmeticError, RuntimeError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     report.elapsed = time.perf_counter() - start
     try:
         if args.format == "json":
@@ -293,6 +292,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # e.g. an integer beyond Python's int-to-str digit limit
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except OSError as exc:  # only `conjoin --out` writes, and it writes at render time
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     print(text)
     return report.exit_code
 

@@ -414,11 +414,13 @@ class _Parser:
         labels = self.parse_varlist()
         dim = sum(d for _, d in labels)
         self.expect_keyword("latent")
-        self.expect("NAME", "a latent signal name")
+        latent = self.expect("NAME", "a latent signal name").text
         self.expect("COLON", "':'")
         latent_dim = self.parse_int()
         R = self.field_matrix("R", cols=dim)
         E = self.field_matrix("E", cols=latent_dim)
+        if E.cols != latent_dim:
+            raise ValueError(f"matrix E has {E.cols} columns but {latent}:{latent_dim} is declared")
         return LatentRep(R, E, labels)
 
     def parse_contract_body(self) -> tuple[str, str]:
@@ -557,14 +559,10 @@ def contract_document(name: str, c: Contract) -> Document:
     """Package a contract value as a self-contained document: its two kernels
     plus a contract definition referencing them."""
     a_name, g_name = f"{name}_assumptions", f"{name}_guarantees"
-    # Store exactly what a re-parse of the formatted text reconstructs: kernels
-    # without the minimality flag, and the contract value rebuilt from them.
-    a = KernelRep(c.assumptions.R, c.assumptions.signal_labels)
-    g = KernelRep(c.guarantees.R, c.guarantees.signal_labels)
     doc = Document()
-    doc.definitions[a_name] = Definition("kernel", a_name, a)
-    doc.definitions[g_name] = Definition("kernel", g_name, g)
-    doc.definitions[name] = Definition("contract", name, Contract(a, g), refs=(a_name, g_name))
+    doc.definitions[a_name] = Definition("kernel", a_name, c.assumptions)
+    doc.definitions[g_name] = Definition("kernel", g_name, c.guarantees)
+    doc.definitions[name] = Definition("contract", name, c, refs=(a_name, g_name))
     return doc
 
 

@@ -37,6 +37,10 @@ class SingularMatrixError(ValueError):
     """A square matrix required to be invertible has zero determinant."""
 
 
+class SelfCheckError(ValueError):
+    """A result failed the check it runs on itself: a fault, not bad input."""
+
+
 def _coerce_entry(x) -> Poly:
     p = _as_poly(x)
     if p is NotImplemented:
@@ -397,13 +401,13 @@ class SmithDecomposition:
 
     def __post_init__(self):
         if self.rank != len(self.invariant_factors):
-            raise ValueError("rank does not match the number of invariant factors")
+            raise SelfCheckError("rank does not match the number of invariant factors")
         prev: Poly | None = None
         for d in self.invariant_factors:
             if d.is_zero or d.lc != 1:
-                raise ValueError("invariant factors must be monic and nonzero")
+                raise SelfCheckError("invariant factors must be monic and nonzero")
             if prev is not None and not prev.divides(d):
-                raise ValueError("invariant factor divisibility chain broken")
+                raise SelfCheckError("invariant factor divisibility chain broken")
             prev = d
 
     def canonical_form(self) -> PolyMatrix:

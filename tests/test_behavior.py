@@ -26,7 +26,7 @@ from agverify.behavior import (
     transfer_matrix,
 )
 from agverify.polyalg import ONE, S, ZERO
-from agverify.polymatrix import PolyMatrix, hstack, rank_generic, vstack
+from agverify.polymatrix import PolyMatrix, hstack, rank_generic, row_echelon, vstack
 from support import (
     eval_matrix,
     evaluation_rank,
@@ -135,7 +135,7 @@ class TestMinimalKernel:
     def test_dependent_rows_compress(self):
         k = kernel([[S, ZERO], [S**2, ZERO]], W2)
         mk = minimal_kernel(k)
-        assert mk.R.rows == 1 and mk.minimal
+        assert mk.R.rows == 1 and rank_generic(mk.R) == mk.R.rows
         assert behavior_equal(k, mk).holds
 
     def test_already_minimal_same_row_count(self):
@@ -147,10 +147,6 @@ class TestMinimalKernel:
     def test_zero_matrix_gives_full_behavior(self):
         k = kernel([[ZERO, ZERO]], W2)
         assert minimal_kernel(k).R.rows == 0
-
-    def test_flag_verified(self):
-        with pytest.raises(ValueError):
-            kernel([[S], [S]], W1, minimal=True)
 
     def test_rank_equals_rows_and_equivalence(self):
         rng = random.Random(31)
@@ -174,7 +170,34 @@ class TestMinimalKernel:
         assert inclusion_by_linear_solve(mk.R, R)
 
 
+@st.composite
+def latent_reps(draw):
+    """Latent representations, among them ones with no rows, with no latent
+    columns, and with a manifest row that is a multiple of another."""
+    rows = draw(st.integers(min_value=0, max_value=4))
+    dim = draw(st.integers(min_value=1, max_value=3))
+    E = draw(poly_matrices(rows, draw(st.integers(min_value=0, max_value=3))))
+    M = draw(poly_matrices(rows, dim))
+    if rows >= 2 and draw(st.booleans()):
+        factor = draw(poly_matrices(1, 1, 1))[0, 0]
+        M = PolyMatrix(M.entries[:-1] + (tuple(factor * e for e in M.entries[0]),), cols=dim)
+    return LatentRep(M, E, (("w", dim),))
+
+
 class TestEliminateLatent:
+    @settings(deadline=None, max_examples=80)
+    @given(latent_reps())
+    def test_one_scan_is_minimal_and_matches_two_passes(self, lat):
+        k = eliminate_latent(lat)
+        assert rank_generic(k.R) == k.R.rows
+        assert minimal_kernel(k) == k
+        # Reference: reduce E's columns only, then minimize the rows below.
+        E, M = lat.latent_map, lat.manifest
+        a = [list(e) + list(m) for e, m in zip(E.entries, M.entries)]
+        rank = len(row_echelon(a, E.cols))
+        below = PolyMatrix([row[E.cols:] for row in a[rank:]], cols=M.cols)
+        assert k == minimal_kernel(KernelRep(below, lat.signal_labels))
+
     def test_integrator(self):
         # s x = u, y = x with x latent: the external law is s y = u.
         lat = LatentRep(

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import agverify
-from agverify import cli
+from agverify import behavior, cli
 from agverify.cli import main
 from agverify.docparse import (
     MAX_DIGITS,
@@ -121,6 +121,20 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err == f"internal error: {fault}\n"
+
+    def test_failed_self_check_is_three(self, capsys, monkeypatch):
+        # A wrong multiplier (twice the true one) reaches the witness check.
+        solve = behavior._left_quotient
+
+        def doubled(src, target):
+            M = solve(src, target)
+            return M + M if isinstance(M, PolyMatrix) else M
+
+        monkeypatch.setattr(behavior, "_left_quotient", doubled)
+        code, out, err = run(capsys, "implements", "S", "C", *CORPUS)
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: invalid witness: multiplier * source != target\n"
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
@@ -291,6 +305,17 @@ class TestConjoin:
                 capsys, "refines", "C1_and_C2", other, str(out_file), *CORPUS
             )
             assert code == 0
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("target", ["missing/conj.ag", "."])
+    def test_unwritable_out_is_two(self, capsys, tmp_path, fmt, target):
+        path = tmp_path / target
+        code, out, err = run(
+            capsys, "conjoin", "C1", "C2", "--out", str(path), "--format", fmt, *CORPUS
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_stdout_document_parses(self, capsys):
         code, out, _ = run(capsys, "conjoin", "C1", "C2", *CORPUS)

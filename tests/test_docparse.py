@@ -251,6 +251,11 @@ class TestValidation:
         with pytest.raises(DimensionInconsistencyError):
             parse_document("kernel K { vars y:2 R [[s]] }")
 
+    def test_dimension_inconsistency_latent(self):
+        with pytest.raises(DimensionInconsistencyError) as exc:
+            parse_document("latent L { vars w:2 latent l:5 R [[1,0],[0,1]] E [[s],[1]] }")
+        assert "in latent 'L': matrix E has 1 columns but l:5 is declared" in str(exc.value)
+
     def test_dimension_inconsistency_ragged_matrix(self):
         with pytest.raises(DimensionInconsistencyError):
             parse_document("kernel K { vars y:2 R [[s, 1], [s]] }")
