@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .polyalg import ONE, Poly, S, Scalar, _frac
+from .polyalg import Poly, S, Scalar, _frac
 from .polymatrix import (
     DimensionError,
     PolyMatrix,
@@ -361,37 +361,37 @@ def _left_quotient(src: Sequence[Sequence[Poly]], target: PolyMatrix) -> PolyMat
     """The M with M * src = target for src of full row rank, by Cramer's rule.
 
     One fraction-free Gauss-Jordan pass on [src^T | target^T], scanning the
-    r = rows(src) columns of src^T, leaves on top d * [I | X] for
+    r = rows(src) columns of src^T, returns d = det src_J as its last pivot
+    and d * X in the right block of its top r rows, for
     X = src_J^-T target_J^T, where J are the r columns of src whose rows of
-    src^T became the pivot rows and d = det src_J is the last pivot. Below,
-    it leaves the (r + 1) x (r + 1) minors that border src_J with another
-    column of src and a row of target, which all vanish iff a rational M
-    exists. M is then X^T, polynomial iff d divides d * X. Returns None when
-    src is rank deficient, and the reason when no polynomial M exists.
+    src^T became the pivot rows. The right block of the rows below holds the
+    (r + 1) x (r + 1) minors that border src_J with another column of src
+    and a row of target, which all vanish iff a rational M exists. M is then
+    X^T, polynomial iff d divides d * X. Returns None when src is rank
+    deficient, and the reason when no polynomial M exists.
     """
     r, n = len(src), target.cols
     g = [[row[j] for row in src] + [row[j] for row in target.entries] for j in range(n)]
-    column = {id(row): j for j, row in enumerate(g)}  # the pass permutes g's rows
-    if _fraction_free(g, r, jordan=True)[0] < r:
+    rank, _, d, right, order = _fraction_free(g, r, jordan=True)
+    if rank < r:
         return None
-    for row in g[r:]:
-        for k, e in enumerate(row[r:]):
+    for row, j in zip(right[r:], order[r:]):
+        for k, e in enumerate(row):
             if not e.is_zero:
                 return (
                     f"no polynomial multiplier exists: row {k} is not a rational combination of "
-                    f"the source rows in source column {column[id(row)]} (bordered minor {e})"
+                    f"the source rows in source column {j} (bordered minor {e})"
                 )
-    d = g[r - 1][r - 1] if r else ONE
     M = []
     for k in range(target.rows):
         M.append([])
         for i in range(r):
-            quot, rem = divmod(g[i][r + k], d)
+            quot, rem = divmod(right[i][k], d)
             if not rem.is_zero:
-                J = sorted(column[id(row)] for row in g[:r])
                 return (
                     f"multiplier is not polynomial: entry ({k}, {i}) requires dividing "
-                    f"{g[i][r + k]} by the pivot {d} in source columns {J}, remainder {rem}"
+                    f"{right[i][k]} by the pivot {d} in source columns {sorted(order[:r])}, "
+                    f"remainder {rem}"
                 )
             M[k].append(quot)
     return PolyMatrix(M, cols=r)

@@ -7,7 +7,11 @@ shape checks, sums, product and value protocol; each class adds only the
 coercion of its entries and what is particular to its ring. Two eliminations
 do all the work in Q[s]. A fraction-free (Bareiss) elimination backs the
 determinant, the generic rank, the properness test and the Cramer solve of
-`behavior.behavior_included`, so none of them leaves the polynomial ring.
+`behavior.behavior_included`, so none of them leaves the polynomial ring. It
+runs on Python integers: each row is scaled to integer coefficients and each
+entry replaced by its value at a power of two large enough to read the
+polynomial back (Kronecker substitution), so an update is one big-integer
+expression and builds no `Poly`.
 `row_echelon` is the reduction behind minimization and latent elimination:
 unimodular row operations over the Euclidean domain Q[s], carrying along
 whatever columns sit to the right, so reducing [R | I] yields the left
@@ -24,9 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
-from .polyalg import ONE, ZERO, Poly, RatFunc, _as_poly, _as_ratfunc, _make_primitive
+from .polyalg import ONE, ZERO, Poly, RatFunc, _as_poly, _as_ratfunc, _make_primitive, _poly
 
 
 class DimensionError(ValueError):
@@ -252,15 +257,31 @@ def block(grid: Sequence[Sequence[PolyMatrix]]) -> PolyMatrix:
     return vstack(*(hstack(*row) for row in grid))
 
 
-def _exact_div(a: Poly, b: Poly) -> Poly:
-    q, r = divmod(a, b)
-    if not r.is_zero:
-        raise ArithmeticError("inexact division in fraction-free elimination")
-    return q
+def _pack(p: Poly, scale: int, k: int) -> int:
+    """``scale * p`` evaluated at s = 2^k, for ``scale`` a multiple of ``p.den``."""
+    v = 0
+    for c in reversed(p.num):
+        v = (v << k) + c
+    return v * (scale // p.den)
 
 
-def _fraction_free(a: list[list[Poly]], ncols: int, jordan: bool = False) -> tuple[int, int]:
-    """Fraction-free (Bareiss) row elimination of the grid ``a``, in place.
+def _unpack(v: int, k: int, den: int) -> Poly:
+    """The polynomial with coefficients in (-2^(k-1), 2^(k-1)) whose value at
+    s = 2^k is ``v``, divided by ``den``."""
+    half = 1 << (k - 1)
+    mask = (half << 1) - 1
+    num = []
+    while v:
+        c = ((v + half) & mask) - half
+        num.append(c)
+        v = (v - c) >> k
+    return _poly(num, den)
+
+
+def _fraction_free(
+    grid: Sequence[Sequence[Poly]], ncols: int, jordan: bool = False
+) -> tuple[int, int, Poly, list[list[Poly]], list[int]]:
+    """Fraction-free (Bareiss) row elimination of ``grid``, which it leaves as is.
 
     Scans columns ``0..ncols-1``; each pivots on its first nonzero entry at or
     below the current rank, and a column without one is skipped. Every other
@@ -271,20 +292,46 @@ def _fraction_free(a: list[list[Poly]], ncols: int, jordan: bool = False) -> tup
     columns and the Gauss-Jordan form). After a full-rank Gauss-Jordan pass
     on [P | Q] the last pivot is +-det P and the right block +-det(P) P^-1 Q.
 
-    Returns the rank of the scanned columns and the sign of the row
-    permutation.
+    The pass runs on integers. Row i is scaled by the lcm L_i of its
+    denominators, and each entry is replaced by its value at s = 2^k
+    (Kronecker substitution). Every entry the pass holds is a minor of the
+    scaled grid, and the coefficient 1-norm of a minor is at most the
+    product of the 1-norms of its rows, so at most B, the product over all
+    rows of max(1, 1-norm). With k = bits(B) + 1 each coefficient fits in a
+    signed k-bit digit: an entry is zero iff its polynomial is, and the
+    digits give the polynomial back. Evaluation is a ring homomorphism, so
+    an exact division of polynomials is an exact division of integers; an
+    integer division that leaves a remainder raises `ArithmeticError`.
+
+    Returns ``(rank, sign, pivot, right, order)``: the rank of the scanned
+    columns, the sign of the row permutation, the last pivot (1 when the
+    rank is 0), the columns from ``ncols`` on of every row, and the input
+    row each row came from, all in the final row order. The entries are
+    those of the elimination on the unscaled grid: the scaled pivot and top
+    rows carry the factor S, the product of L_i over the pivot rows, and the
+    rows below carry S * L_i of their own row. Without ``jordan`` a top row
+    carries only the L_i of the pivot rows down to itself.
     """
-    rows = len(a)
-    width = len(a[0]) if a else 0
-    rank, sign, prev = 0, 1, ONE
+    rows = len(grid)
+    width = len(grid[0]) if grid else 0
+    scales, bound = [], 1
+    for row in grid:
+        scale = lcm(*[e.den for e in row])
+        scales.append(scale)
+        bound *= max(1, sum([sum(map(abs, e.num)) * (scale // e.den) for e in row]))
+    k = bound.bit_length() + 1
+    a = [[_pack(e, scale, k) for e in row] for row, scale in zip(grid, scales)]
+    order = list(range(rows))
+    rank, sign, prev = 0, 1, 1
     for c in range(ncols):
         if rank == rows:
             break
-        piv = next((i for i in range(rank, rows) if not a[i][c].is_zero), None)
+        piv = next((i for i in range(rank, rows) if a[i][c]), None)
         if piv is None:
             continue
         if piv != rank:
             a[rank], a[piv] = a[piv], a[rank]
+            order[rank], order[piv] = order[piv], order[rank]
             sign = -sign
         prow = a[rank]
         pivot = prow[c]
@@ -294,11 +341,22 @@ def _fraction_free(a: list[list[Poly]], ncols: int, jordan: bool = False) -> tup
             row = a[i]
             f = row[c]
             for j in range(c + 1, width):
-                row[j] = _exact_div(row[j] * pivot - f * prow[j], prev)
-            row[c] = ZERO
+                q, r = divmod(row[j] * pivot - f * prow[j], prev)
+                if r:
+                    raise ArithmeticError("inexact division in fraction-free elimination")
+                row[j] = q
+            row[c] = 0
         prev = pivot
         rank += 1
-    return rank, sign
+    factors, s = [], 1
+    for i in order[:rank]:
+        s *= scales[i]
+        factors.append(s)
+    if jordan:
+        factors = [s] * rank
+    factors += [s * scales[i] for i in order[rank:]]
+    right = [[_unpack(v, k, d) for v in row[ncols:]] for row, d in zip(a, factors)]
+    return rank, sign, _unpack(prev, k, s), right, order
 
 
 def row_echelon(a: list[list[Poly]], ncols: int) -> list[int]:
@@ -355,14 +413,9 @@ def determinant(P: PolyMatrix) -> Poly:
     """
     if not P.is_square:
         raise DimensionError(f"determinant of non-square {P.shape_str()} matrix")
-    n = P.rows
-    if n == 0:
-        return ONE
-    a = [list(row) for row in P.entries]
-    rank, sign = _fraction_free(a, n)
-    if rank < n:
+    rank, sign, det = _fraction_free(P.entries, P.rows)[:3]
+    if rank < P.rows:
         return ZERO
-    det = a[n - 1][n - 1]
     return det if sign == 1 else -det
 
 
@@ -372,7 +425,7 @@ def rank_generic(R: PolyMatrix) -> int:
     Equals the rank of R(x) at all but finitely many evaluation points.
     Computed by fraction-free elimination, so it never leaves Q[s].
     """
-    return _fraction_free([list(row) for row in R.entries], R.cols)[0]
+    return _fraction_free(R.entries, R.cols)[0]
 
 
 def is_unimodular(P: PolyMatrix) -> bool:
@@ -444,7 +497,10 @@ def smith_form(R: PolyMatrix) -> SmithDecomposition:
     loop ends. The diagonal is unique; the transforms are not. U and V are
     the inverses of the unimodular U_inv and V_inv, each from one
     fraction-free Gauss-Jordan pass (`_fraction_free`) on [W | I], which
-    leaves d * W^-1 in the right block for the constant last pivot d.
+    leaves d * W^-1 in the right block for the constant last pivot d. V is
+    taken as the transpose of the inverse of V_inv^T, whose rows, like those
+    of U_inv, are echelon rows with one denominator each, so that scaling
+    them to integers adds few bits.
     """
     m, n = R.rows, R.cols
     a = [list(row) + list(e) for row, e in zip(R.entries, PolyMatrix.identity(m).entries)]
@@ -465,16 +521,16 @@ def smith_form(R: PolyMatrix) -> SmithDecomposition:
 
     def inverse(W: PolyMatrix) -> PolyMatrix:
         k = W.rows
-        g = [list(w) + list(e) for w, e in zip(W.entries, PolyMatrix.identity(k).entries)]
-        _fraction_free(g, k, jordan=True)
-        d = g[-1][k - 1].lc if k else 1
-        return PolyMatrix([[e / d for e in row[k:]] for row in g], cols=k)
+        g = [w + e for w, e in zip(W.entries, PolyMatrix.identity(k).entries)]
+        _, _, d, right, _ = _fraction_free(g, k, jordan=True)
+        return PolyMatrix([[e / d.lc for e in row] for row in right], cols=k)
 
     U_inv = PolyMatrix([row[n:] for row in a], cols=m)
-    V_inv = PolyMatrix(vt, cols=n).transpose()
+    V_inv_t = PolyMatrix(vt, cols=n)
+    V_inv = V_inv_t.transpose()
     return SmithDecomposition(
         U=inverse(U_inv),
-        V=inverse(V_inv),
+        V=inverse(V_inv_t).transpose(),
         invariant_factors=tuple(factors),
         rank=len(factors),
         U_inv=U_inv,
@@ -557,8 +613,8 @@ def is_proper(P: PolyMatrix, Q: PolyMatrix) -> bool:
     if not P.is_square:
         raise DimensionError(f"inverse of non-square {P.shape_str()} matrix")
     n = P.rows
-    a = [list(p) + list(q) for p, q in zip(P.entries, Q.entries)]
-    if _fraction_free(a, n, jordan=True)[0] < n:
+    a = [p + q for p, q in zip(P.entries, Q.entries)]
+    rank, _, det, right, _ = _fraction_free(a, n, jordan=True)
+    if rank < n:
         raise SingularMatrixError("matrix is not invertible (zero determinant)")
-    bound = a[n - 1][n - 1].degree if n else 0
-    return all(e.degree <= bound for row in a for e in row[n:])
+    return all(e.degree <= det.degree for row in right for e in row)

@@ -79,6 +79,34 @@ def det_cofactor(M: PolyMatrix) -> Poly:
     return total
 
 
+def bareiss_reference(grid: list[list[Poly]], ncols: int, jordan: bool = False):
+    """The fraction-free elimination of `polymatrix._fraction_free`, on
+    `Poly` entries with their own exact division; returns the same
+    (rank, sign, last pivot, right block, row order)."""
+    a = [list(row) for row in grid]
+    rows, width = len(a), len(a[0]) if a else 0
+    order = list(range(rows))
+    rank, sign, prev = 0, 1, Poly([1])
+    for c in range(ncols):
+        piv = next((i for i in range(rank, rows) if not a[i][c].is_zero), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        order[rank], order[piv] = order[piv], order[rank]
+        sign = sign if piv == rank else -sign
+        prow, pivot = a[rank], a[rank][c]
+        for i in range(0 if jordan else rank + 1, rows):
+            if i != rank:
+                f = a[i][c]
+                for j in range(c + 1, width):
+                    q, r = divmod(a[i][j] * pivot - f * prow[j], prev)
+                    assert r.is_zero, "inexact Bareiss division"
+                    a[i][j] = q
+        prev = pivot
+        rank += 1
+    return rank, sign, prev, [row[ncols:] for row in a], order
+
+
 def inclusion_by_linear_solve(R1: PolyMatrix, R2: PolyMatrix) -> bool:
     """Does a polynomial M with M * R1 = R2 exist?
 

@@ -25,7 +25,7 @@ from agverify.behavior import (
     statespace_to_kernel,
     transfer_matrix,
 )
-from agverify.polyalg import ONE, S, ZERO
+from agverify.polyalg import ONE, S, ZERO, Poly
 from agverify.polymatrix import PolyMatrix, hstack, rank_generic, row_echelon, vstack
 from support import (
     eval_matrix,
@@ -41,6 +41,7 @@ from test_polymatrix import poly_matrices
 
 W1 = (("w", 1),)
 W2 = (("w", 2),)
+W3 = (("w", 3),)
 
 
 def kernel(entries, labels=W1, **kw):
@@ -340,6 +341,36 @@ class TestInclusion:
         (d,) = v.diagnostics
         assert d.startswith("no polynomial multiplier exists: row 0 ")
         assert "source column 1" in d
+
+    @pytest.mark.parametrize(
+        "R1, R2, want",
+        [
+            (
+                [[ZERO, Poly([Fraction(1, 2), 1]), Poly([Fraction(1, 3)])],
+                 [ZERO, ZERO, Poly([Fraction(-2, 5), Fraction(3, 4)])]],
+                [[ZERO, Poly([Fraction(1, 7)]), Poly([0, Fraction(5, 6)])]],
+                "multiplier is not polynomial: entry (0, 0) requires dividing 3/28*s - 2/35 "
+                "by the pivot 3/4*s^2 - 1/40*s - 1/5 in source columns [1, 2], "
+                "remainder 3/28*s - 2/35",
+            ),
+            (
+                [[Poly([Fraction(1, 2), 1]), Poly([Fraction(1, 3)]), Poly([0, Fraction(2, 9)])],
+                 [Poly([Fraction(5, 6)]), ZERO, Poly([Fraction(-2, 5), Fraction(3, 4)])]],
+                [[Poly([Fraction(1, 2), Fraction(1, 7)]), Poly([Fraction(1, 6), 0, Fraction(5, 6)]),
+                  Poly([1, Fraction(1, 8)])]],
+                "no polynomial multiplier exists: row 0 is not a rational combination of the "
+                "source rows in source column 2 (bordered minor -5/8*s^4 + 227/1296*s^3 "
+                "+ 13/168*s^2 + 241/2268*s - 14/45)",
+            ),
+        ],
+    )
+    def test_rational_source_diagnostics(self, R1, R2, want):
+        # Rows with different denominators, and in the first case a zero
+        # source column that makes the pass permute rows: the printed pivot,
+        # numerator and minor are those of the elimination over Q[s].
+        v = behavior_included(kernel(R1, W3), kernel(R2, W3))
+        assert not v.holds
+        assert v.diagnostics == (want,)
 
     def test_rank_deficient_source_needs_transform(self):
         # Neither row of R1 divides [1, 0]; their combination -row0 + row1 does.

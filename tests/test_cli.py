@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import agverify
-from agverify import behavior, cli
+from agverify import behavior, cli, polymatrix
 from agverify.cli import main
 from agverify.docparse import (
     MAX_DIGITS,
@@ -121,6 +121,18 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err == f"internal error: {fault}\n"
+
+    def test_inexact_division_in_pass_is_three(self, capsys, monkeypatch):
+        # Every integer division of the Bareiss pass reports a remainder, so
+        # its exactness guard fires inside a real decision.
+        def inexact(a, b):
+            return (a // b, 1) if isinstance(a, int) else divmod(a, b)
+
+        monkeypatch.setattr(polymatrix, "divmod", inexact, raising=False)
+        code, out, err = run(capsys, "include", "A0", "A", *CORPUS)
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: inexact division in fraction-free elimination\n"
 
     def test_failed_self_check_is_three(self, capsys, monkeypatch):
         # A wrong multiplier (twice the true one) reaches the witness check.

@@ -14,6 +14,7 @@ from agverify.polymatrix import (
     PolyMatrix,
     RatMatrix,
     SingularMatrixError,
+    _fraction_free,
     block,
     determinant,
     hstack,
@@ -25,7 +26,15 @@ from agverify.polymatrix import (
     smith_form,
     vstack,
 )
-from support import det_cofactor, eval_matrix, fraction_rank, random_matrix, random_unimodular
+from support import (
+    bareiss_reference,
+    det_cofactor,
+    eval_matrix,
+    evaluation_rank,
+    fraction_rank,
+    random_matrix,
+    random_unimodular,
+)
 
 
 def minor_gcd(M: PolyMatrix, k: int) -> Poly:
@@ -45,25 +54,70 @@ def poly_matrices(draw, rows, cols, max_deg=2, coeff=st.integers(min_value=-4, m
     return PolyMatrix([[draw(entry) for _ in range(cols)] for _ in range(rows)], cols=cols)
 
 
+def rationals(bound: int) -> st.SearchStrategy:
+    """Integers in [-bound, bound], and such numerators over 1..9."""
+    num = st.integers(min_value=-bound, max_value=bound)
+    return st.one_of(num, st.builds(Fraction, num, st.integers(min_value=1, max_value=9)))
+
+
 @st.composite
-def proper_instances(draw):
+def proper_instances(draw, coeff=st.integers(min_value=-4, max_value=4)):
     """(P, Q) with P square; P is forced singular and Q gets zero columns
     often enough that every branch of the decision is exercised."""
     n = draw(st.integers(min_value=0, max_value=3))
-    P = draw(poly_matrices(n, n, draw(st.integers(min_value=0, max_value=2))))
+    P = draw(poly_matrices(n, n, draw(st.integers(min_value=0, max_value=2)), coeff))
     if n and draw(st.integers(min_value=0, max_value=3)) == 0:
         rows = list(P.entries)
-        factor = draw(poly_matrices(1, 1, 1))[0, 0]
+        factor = draw(poly_matrices(1, 1, 1, coeff))[0, 0]
         rows[-1] = tuple(e * factor for e in rows[0])
         P = PolyMatrix(rows, cols=n)
     m = draw(st.integers(min_value=0, max_value=3))
-    Q = draw(poly_matrices(n, m, draw(st.integers(min_value=0, max_value=3))))
+    Q = draw(poly_matrices(n, m, draw(st.integers(min_value=0, max_value=3)), coeff))
     zero_cols = draw(st.sets(st.integers(min_value=0, max_value=max(m - 1, 0)), max_size=m))
     Q = PolyMatrix(
         [[ZERO if j in zero_cols else e for j, e in enumerate(row)] for row in Q.entries],
         cols=m,
     )
     return P, Q
+
+
+@st.composite
+def wide_squares(draw):
+    """n x n for n <= 4 with coefficients up to +-2^80 over denominators
+    1..9 and zero entries; some have a zero row, some a row that is a
+    polynomial multiple of another, so the rank drops."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    coeff = st.one_of(st.just(0), rationals(2**80))
+    rows = [list(row) for row in draw(poly_matrices(n, n, 2, coeff)).entries]
+    cells = st.integers(min_value=0, max_value=max(n - 1, 0))
+    for i, j in draw(st.sets(st.tuples(cells, cells), max_size=n * n)):
+        rows[i][j] = ZERO
+    kind = draw(st.sampled_from(("as drawn", "zero row", "multiple row")))
+    if n and kind == "zero row":
+        rows[draw(cells)] = [ZERO] * n
+    elif n > 1 and kind == "multiple row":
+        factor = draw(poly_matrices(1, 1, 1, coeff))[0, 0]
+        rows[-1] = [e * factor for e in rows[0]]
+    return PolyMatrix(rows, cols=n)
+
+
+@st.composite
+def elimination_grids(draw):
+    """Grids up to 5 x 7 with up to 5 scanned columns and rational entries;
+    some have a row that is a multiple of another, or a zero first column,
+    so the pass loses rank, skips columns and permutes rows."""
+    rows = draw(st.integers(min_value=0, max_value=5))
+    ncols = draw(st.integers(min_value=0, max_value=5))
+    width = ncols + draw(st.integers(min_value=0, max_value=2))
+    coeff = st.one_of(st.just(0), rationals(2**40))
+    grid = [list(row) for row in draw(poly_matrices(rows, width, 2, coeff)).entries]
+    if rows > 1 and draw(st.booleans()):
+        factor = draw(poly_matrices(1, 1, 1, coeff))[0, 0]
+        grid[-1] = [e * factor for e in grid[0]]
+    if width and draw(st.booleans()):
+        for row in grid:
+            row[0] = ZERO
+    return grid, ncols
 
 
 @st.composite
@@ -148,6 +202,24 @@ class TestDeterminant:
 
     def test_empty(self):
         assert determinant(PolyMatrix([], cols=0)) == ONE
+
+    @settings(deadline=None)
+    @given(wide_squares())
+    def test_wide_coefficients_match_oracles(self, M):
+        # Per-row denominators, large coefficients and zero rows exercise the
+        # scaling, the coefficient bound and the signed digits of the pass.
+        assert determinant(M) == det_cofactor(M)
+        assert rank_generic(M) == evaluation_rank(M)
+
+
+class TestFractionFree:
+    @settings(deadline=None)
+    @given(elimination_grids(), st.booleans())
+    def test_matches_poly_reference(self, instance, jordan):
+        # Every returned value, the right block of the rows above and below
+        # the rank included, equals that of the elimination on Poly entries.
+        grid, ncols = instance
+        assert _fraction_free(grid, ncols, jordan) == bareiss_reference(grid, ncols, jordan)
 
 
 class TestRank:
@@ -410,12 +482,9 @@ class TestProper:
         with pytest.raises(SingularMatrixError):
             is_proper(PolyMatrix([[ZERO]]), PolyMatrix([[ONE]]))
 
-    @settings(deadline=None)
-    @given(proper_instances())
-    @example((PolyMatrix([], cols=0), PolyMatrix([], cols=2)))
-    def test_matches_inversion_oracle(self, instance):
+    @staticmethod
+    def check_against_inversion(P, Q):
         # The oracle forms P^-1 Q over Q(s) and tests each entry.
-        P, Q = instance
         try:
             inverse = invert_ratmatrix(P)
         except SingularMatrixError:
@@ -424,6 +493,19 @@ class TestProper:
             return
         want = all(e.is_proper for row in (inverse * Q).entries for e in row)
         assert is_proper(P, Q) == want
+
+    @settings(deadline=None)
+    @given(proper_instances())
+    @example((PolyMatrix([], cols=0), PolyMatrix([], cols=2)))
+    def test_matches_inversion_oracle(self, instance):
+        self.check_against_inversion(*instance)
+
+    @settings(deadline=None)
+    @given(proper_instances(rationals(4)))
+    def test_matches_inversion_oracle_rational(self, instance):
+        # statespace_to_io divides each row by a leading coefficient, so most
+        # properness tests on a state-space system see denominators.
+        self.check_against_inversion(*instance)
 
     def test_hstack_shapes(self):
         h = hstack(PolyMatrix.identity(2), PolyMatrix.zeros(2, 1))
