@@ -4,7 +4,9 @@ A polynomial holds integer numerators over one positive integer denominator,
 so arithmetic is exact (zero tests are genuine decisions, not tolerance
 checks) and each coefficient operation is plain integer arithmetic. The
 matrix layer (`polymatrix`) depends on this for divisibility tests,
-singularity detection and canonical forms.
+singularity detection and canonical forms. Division is a pseudo-division of
+the integer numerators (`_pseudo_divmod`), which `polymatrix.row_echelon`
+also runs directly on integer coefficient lists, without building a `Poly`.
 
 Conventions:
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 Scalar = Union[int, Fraction]
@@ -167,45 +169,19 @@ class Poly:
         return result
 
     def __divmod__(self, other) -> tuple["Poly", "Poly"]:
-        """Euclidean division: ``self = q*other + r`` with ``deg r < deg other``.
-
-        Fraction-free on the numerators: where the divisor's leading numerator
-        ``lb`` does not divide the leading remainder coefficient ``c``, the
-        remainder and quotient so far are scaled by ``|lb| / gcd(c, lb)``.
-        """
+        """Euclidean division: ``self = q*other + r`` with ``deg r < deg other``,
+        from one pseudo-division of the numerators (`_pseudo_divmod`)."""
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        b = other.num
-        if not b:
+        if not other.num:
             raise ZeroDivisionError("polynomial division by zero")
-        db = len(b) - 1
-        if len(self.num) <= db:
-            return ZERO, self
-        rem = list(self.num)
-        lb = b[-1]
-        alb = abs(lb)
-        q = [0] * (len(rem) - db)
-        scale = 1
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c:
-                m = alb // gcd(c, alb)
-                if m != 1:
-                    rem = [x * m for x in rem]
-                    q = [x * m for x in q]
-                    scale *= m
-                    c *= m
-                f = c // lb
-                q[i - db] = f
-                rem[i] = 0
-                for j in range(db):
-                    rem[i - db + j] -= f * b[j]
-        # self.num * scale == q * other.num + rem
-        den = scale * self.den
+        q, r, m = _pseudo_divmod(self.num, other.num)
+        # m * self.num == q * other.num + r
+        den = m * self.den
         if other.den != 1:
             q = [x * other.den for x in q]
-        return _poly(q, den), _poly(rem[:db], den)
+        return _poly(q, den), _poly(r, den)
 
     def __floordiv__(self, other) -> "Poly":
         return divmod(self, other)[0]
@@ -309,25 +285,41 @@ def _poly(num: list[int], den: int) -> Poly:
     return p
 
 
-def _make_primitive(row: list[Poly]) -> None:
-    """Scale ``row`` in place by a positive rational so that its entries have
-    integer coefficients with no common factor (a zero row stays)."""
-    den = 1
-    for p in row:
-        if den % p.den:
-            den = den // gcd(den, p.den) * p.den
-    # Over the common denominator ``den`` the row's integer coefficients are
-    # num * (den // p.den); g is their gcd.
-    g = 0
-    for p in row:
-        if p.num:
-            g = gcd(g, gcd(*p.num) * (den // p.den))
-    if g == 0 or (den == 1 and g == 1):
-        return
-    for j, p in enumerate(row):
-        if p.num:
-            f = den // p.den
-            row[j] = _poly([c * f // g for c in p.num], 1)
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Pseudo-division of integer coefficient lists in ascending powers, ``b``
+    nonzero and both without trailing zeros: ``(q, r, m)`` with
+    ``m * a == q * b + r``, an integer ``m > 0`` and ``r`` of lower degree
+    than ``b``, without trailing zeros.
+
+    Fraction-free: where the leading coefficient ``lb`` of ``b`` does not
+    divide the leading remainder coefficient ``c``, the remainder and the
+    quotient so far are scaled by ``|lb| / gcd(c, lb)``, and ``m`` is the
+    product of those factors.
+    """
+    db = len(b) - 1
+    rem = list(a)
+    lb = b[-1]
+    alb = abs(lb)
+    q = [0] * (len(rem) - db)
+    m = 1
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if c:
+            f = alb // gcd(c, alb)
+            if f != 1:
+                rem = [x * f for x in rem]
+                q = [x * f for x in q]
+                m *= f
+                c *= f
+            f = c // lb
+            q[i - db] = f
+            rem[i] = 0
+            for j in range(db):
+                rem[i - db + j] -= f * b[j]
+    del rem[db:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return q, rem, m
 
 
 def _add(a: Poly, b: Poly, sign: int) -> Poly:

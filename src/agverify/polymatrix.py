@@ -15,7 +15,10 @@ expression and builds no `Poly`.
 `row_echelon` is the reduction behind minimization and latent elimination:
 unimodular row operations over the Euclidean domain Q[s], carrying along
 whatever columns sit to the right, so reducing [R | I] yields the left
-transform with the echelon form. `smith_form`, which
+transform with the echelon form. It runs on integer coefficient lists as
+well: each row is scaled to integer coefficients, each update is one
+pseudo-division followed by division by the row's content, and `Poly`
+entries are built only when a row is written back. `smith_form`, which
 backs the ``smith`` command, is built from the two: it alternates
 `row_echelon` on the rows and on the columns until the matrix is diagonal,
 and inverts the accumulated unimodular transforms by fraction-free
@@ -28,10 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .polyalg import ONE, ZERO, Poly, RatFunc, _as_poly, _as_ratfunc, _make_primitive, _poly
+from .polyalg import ONE, ZERO, Poly, RatFunc, _as_poly, _as_ratfunc, _poly, _pseudo_divmod
 
 
 class DimensionError(ValueError):
@@ -359,6 +362,21 @@ def _fraction_free(
     return rank, sign, _unpack(prev, k, s), right, order
 
 
+def _mul_sub(m: int, x: list[int], q: list[int], y: list[int]) -> list[int]:
+    """``m * x - q * y`` for integer coefficient lists, without trailing zeros."""
+    out = [m * v for v in x] if m != 1 else list(x)
+    n = len(q) + len(y) - 1
+    if len(out) < n:
+        out.extend([0] * (n - len(out)))
+    for i, qi in enumerate(q):
+        if qi:
+            for j, yj in enumerate(y, i):
+                out[j] -= qi * yj
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def row_echelon(a: list[list[Poly]], ncols: int) -> list[int]:
     """Row echelon form of the first ``ncols`` columns of the grid ``a``, in place.
 
@@ -367,42 +385,81 @@ def row_echelon(a: list[list[Poly]], ncols: int) -> list[int]:
     with W unimodular. Each column pivots on its lowest-degree nonzero entry
     at or below the current rank (ties go to the lowest row); the entries
     below are replaced by their remainders modulo the pivot, and while one
-    survives it becomes the next, lower-degree pivot. Each row so updated is
-    scaled by a nonzero rational to integer coefficients with gcd 1, which
-    keeps the coefficients of the rows short; a constant scaling is
-    unimodular, and the pivot rows come out the same, because each pivot is
-    made monic at the end. Entries above the pivots are left as they are.
+    survives it becomes the next, lower-degree pivot. Entries above the
+    pivots are left as they are.
+
+    The scan runs on integers. On entry row i becomes integer coefficient
+    lists over the lcm L_i of its denominators, so an entry's degree is the
+    length of its list less one. A row below the pivot row p with a nonzero
+    entry x in column c is updated by one pseudo-division (`_pseudo_divmod`),
+    m * x = q * p[c] + r with an integer m > 0, as row := m * row - q * p
+    over the columns from c on, and is then divided by its content, the gcd
+    of all its coefficients (a primitive pseudo-remainder step; Brown,
+    J. ACM 18, 1971). The result is a positive rational multiple of
+    row - (q / m) * p, the update over Q(s), so degrees, zero tests and
+    pivots are those of the rational scan, and each updated row is the
+    unique positive multiple of it with integer coefficients of gcd 1, which
+    keeps the coefficients short; a constant scaling is unimodular.
+
+    No `Poly` is built during the scan. Each pivot row is written back made
+    monic when its column ends, so it does not depend on those scalings;
+    each row below the rank that was updated is written back primitive, with
+    denominator 1; a row the scan never updates keeps its `Poly` objects.
 
     Returns the pivot columns; their count is the generic rank, and the rows
     from there down are zero in the scanned columns.
     """
     rows = len(a)
     width = len(a[0]) if a else 0
+    z = []
+    for row in a:
+        scale = lcm(*[e.den for e in row])
+        z.append([[v * (scale // e.den) for v in e.num] for e in row])
+    updated = [False] * rows
     pivots: list[int] = []
     for c in range(ncols):
         rank = len(pivots)
         if rank == rows:
             break
-        live = [i for i in range(rank, rows) if not a[i][c].is_zero]
+        live = [i for i in range(rank, rows) if z[i][c]]
         if not live:
             continue
         while live:
-            piv = min(live, key=lambda i: a[i][c].degree)
+            piv = min(live, key=lambda i: len(z[i][c]))
             a[rank], a[piv] = a[piv], a[rank]
-            prow = a[rank]
-            for row in a[rank + 1:]:
-                if not row[c].is_zero:
-                    q, row[c] = divmod(row[c], prow[c])
-                    for j in range(c + 1, width):
-                        if not prow[j].is_zero:
-                            row[j] = row[j] - q * prow[j]
-                    _make_primitive(row)
+            z[rank], z[piv] = z[piv], z[rank]
+            updated[rank], updated[piv] = updated[piv], updated[rank]
+            prow = z[rank]
+            p = prow[c]
+            for i in range(rank + 1, rows):
+                row = z[i]
+                if not row[c]:
+                    continue
+                q, row[c], m = _pseudo_divmod(row[c], p)
+                for j in range(c + 1, width):
+                    if prow[j]:
+                        row[j] = _mul_sub(m, row[j], q, prow[j])
+                    elif m != 1 and row[j]:
+                        row[j] = [m * v for v in row[j]]
+                # Columns before c are zero below the rank.
+                g = 0
+                for e in row[c:]:
+                    if e:
+                        g = gcd(g, *e)
+                        if g == 1:
+                            break
+                if g > 1:
+                    z[i] = [[v // g for v in e] for e in row]
+                updated[i] = True
             # A surviving remainder has lower degree than the pivot: re-pivot.
-            live = [i for i in range(rank + 1, rows) if not a[i][c].is_zero]
-        lc = a[rank][c].lc
-        if lc != 1:
-            a[rank] = [e / lc for e in a[rank]]
+            live = [i for i in range(rank + 1, rows) if z[i][c]]
+        prow = z[rank]
+        lc = prow[c][-1]
+        a[rank] = [_poly(e, lc) for e in prow]
         pivots.append(c)
+    for i in range(len(pivots), rows):
+        if updated[i]:
+            a[i] = [_poly(e, 1) for e in z[i]]
     return pivots
 
 

@@ -107,6 +107,49 @@ def bareiss_reference(grid: list[list[Poly]], ncols: int, jordan: bool = False):
     return rank, sign, prev, [row[ncols:] for row in a], order
 
 
+def row_echelon_reference(grid: list[list[Poly]], ncols: int):
+    """The reduction of `polymatrix.row_echelon` on `Poly` entries with their
+    own Euclidean division; returns the pivot columns and the reduced grid.
+    Each updated row is scaled to integer coefficients with gcd 1 by a
+    positive rational, and each pivot row made monic when its column ends."""
+    a = [list(row) for row in grid]
+    rows, width = len(a), len(a[0]) if a else 0
+    pivots: list[int] = []
+    for c in range(ncols):
+        rank = len(pivots)
+        if rank == rows:
+            break
+        live = [i for i in range(rank, rows) if not a[i][c].is_zero]
+        if not live:
+            continue
+        while live:
+            piv = min(live, key=lambda i: a[i][c].degree)
+            a[rank], a[piv] = a[piv], a[rank]
+            prow = a[rank]
+            for i in range(rank + 1, rows):
+                row = a[i]
+                if not row[c].is_zero:
+                    q, row[c] = divmod(row[c], prow[c])
+                    for j in range(c + 1, width):
+                        row[j] = row[j] - q * prow[j]
+                    a[i] = _primitive_polys(row)
+            live = [i for i in range(rank + 1, rows) if not a[i][c].is_zero]
+        lc = a[rank][c].lc
+        a[rank] = [e / lc for e in a[rank]]
+        pivots.append(c)
+    return pivots, a
+
+
+def _primitive_polys(row: list[Poly]) -> list[Poly]:
+    """The positive rational multiple of ``row`` whose entries have integer
+    coefficients with gcd 1 (a zero row stays)."""
+    den = lcm(*(e.den for e in row))
+    g = gcd(*(c * (den // e.den) for e in row for c in e.num))
+    if not g:
+        return row
+    return [Poly([c * (den // e.den) // g for c in e.num]) for e in row]
+
+
 def inclusion_by_linear_solve(R1: PolyMatrix, R2: PolyMatrix) -> bool:
     """Does a polynomial M with M * R1 = R2 exist?
 

@@ -244,6 +244,26 @@ class TestCommands:
         assert code == 0
         assert "invariant factors: [s, s^2]" in out
 
+    @pytest.mark.parametrize(
+        "matrix, U, V",
+        [
+            ("[[1/2*s, 1], [s^2, 2*s]]", "[[1/2, 0], [s, 1]]", "[[s, 2], [1/2, 0]]"),
+            (
+                "[[2*s, 4, 1/3], [s, 2, 1/6], [1/3, 1/5*s, 0]]",
+                "[[2*s, -6/5, 1], [s, -3/5, 0], [1/3, 0, 0]]",
+                "[[1, 3/5*s, 0], [0, s^2 - 10/3, -5/18], [0, 1/5, 0]]",
+            ),
+        ],
+    )
+    def test_smith_transforms_golden(self, capsys, matrix, U, V):
+        # The echelon scans leave the rows below the rank that they update
+        # primitive, and the rows they never touch in their input scaling;
+        # the printed transforms depend on both.
+        code, out, _ = run(capsys, "smith", matrix, *CORPUS)
+        assert code == 0
+        text = dict(line.split(": ", 1) for line in out.splitlines())
+        assert (text["U"], text["V"]) == (U, V)
+
     @pytest.mark.parametrize("matrix", ["A0", "[[s^2, 0], [0, s]]"])
     def test_smith_transforms_reconstruct(self, capsys, matrix):
         # Smith transforms are not unique; whatever is printed must give back R.

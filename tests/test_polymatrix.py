@@ -34,6 +34,7 @@ from support import (
     fraction_rank,
     random_matrix,
     random_unimodular,
+    row_echelon_reference,
 )
 
 
@@ -141,6 +142,13 @@ def rank_instances(draw, coeff=st.integers(min_value=-4, max_value=4)):
             cols=n,
         )
     return R
+
+
+def with_identity(R: PolyMatrix) -> tuple[list[list[Poly]], int]:
+    """The grid [R | I] and its scanned column count, as `smith_form` and
+    `behavior_included` reduce it."""
+    identity = PolyMatrix.identity(R.rows).entries
+    return [list(row) + list(e) for row, e in zip(R.entries, identity)], R.cols
 
 
 class TestArithmetic:
@@ -278,8 +286,8 @@ class TestRowEchelon:
     @settings(deadline=None)
     @given(rank_instances())
     def test_reduction_of_r_and_identity(self, R):
-        m, n = R.rows, R.cols
-        a = [list(row) + list(e) for row, e in zip(R.entries, PolyMatrix.identity(m).entries)]
+        m = R.rows
+        a, n = with_identity(R)
         pivots = row_echelon(a, n)
         H = PolyMatrix([row[:n] for row in a], cols=n)
         W = PolyMatrix([row[n:] for row in a], cols=m)
@@ -300,8 +308,7 @@ class TestRowEchelon:
         st.lists(st.fractions(-3, 3, max_denominator=5).filter(bool), min_size=4, max_size=4),
     )
     def test_rows_below_rank_primitive_and_pivot_rows_scale_free(self, R, scales):
-        m, n = R.rows, R.cols
-        grid = [list(row) + list(e) for row, e in zip(R.entries, PolyMatrix.identity(m).entries)]
+        grid, n = with_identity(R)
         scaled = [[e * c for e in row] for row, c in zip(grid, scales)]
         r = len(row_echelon(grid, n))
         assert len(row_echelon(scaled, n)) == r
@@ -309,6 +316,14 @@ class TestRowEchelon:
         for row in grid[r:]:
             assert all(e.den == 1 for e in row)
             assert gcd(*(c for e in row for c in e.num)) == 1
+
+    @settings(deadline=None)
+    @given(st.one_of(elimination_grids(), rank_instances(rationals(4)).map(with_identity)))
+    def test_matches_poly_reference(self, instance):
+        grid, ncols = instance
+        a = [list(row) for row in grid]
+        pivots = row_echelon(a, ncols)
+        assert (pivots, a) == row_echelon_reference(grid, ncols)
 
     def test_entries_above_pivots_stay(self):
         a = [[Poly([-2]), Poly([-1]), ONE, ZERO], [ZERO, Poly([-1]), ZERO, ONE]]
