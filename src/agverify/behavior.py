@@ -7,19 +7,27 @@ input-output form), conversions between them by exact latent-variable
 elimination, and the central decision procedure `behavior_included`, which
 decides containment of one behavior in another and produces a polynomial
 multiplier certificate that third parties can re-check by a single matrix
-multiplication. Minimization and elimination are one `polymatrix.row_echelon`
-scan each, so their results are minimal by construction. Inclusion solves the
-multiplier by Cramer's rule with one fraction-free (Bareiss) pass, reducing
-the source with `row_echelon` first only when its rows are dependent.
+multiplication. Minimization and latent elimination are one
+`polymatrix.row_echelon` scan each, so their results are minimal by
+construction. A state-space system goes to input-output form without
+elimination, from its observability indices (Polderman & Willems,
+*Introduction to Mathematical Systems Theory*, 1998, ch. 6; Kailath,
+*Linear Systems*, 1980, sec. 6.4): one integer scan of the rows C_i A^k
+gives P y = Q u with one row per output and P row reduced. Inclusion solves
+the multiplier by Cramer's rule with one fraction-free (Bareiss) pass,
+reducing the source with `row_echelon` first only when its rows are
+dependent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
-from .polyalg import Poly, S, Scalar, _frac
+from .polyalg import Poly, S, Scalar, _frac, _poly
 from .polymatrix import (
     DimensionError,
     PolyMatrix,
@@ -155,10 +163,17 @@ class StateSpace:
 
     @classmethod
     def from_lists(cls, A, B, C, D) -> "StateSpace":
-        def grid(rows, cols_hint=None):
-            return PolyMatrix([[Poly([_frac(x)]) for x in row] for row in rows], cols=cols_hint)
+        """From nested lists of constants; a matrix without rows takes its
+        width from the state dimension (C) or from its partner (B from D,
+        D from B)."""
 
-        return cls(grid(A), grid(B), grid(C), grid(D))
+        def grid(rows, cols):
+            entries = [[Poly([_frac(x)]) for x in row] for row in rows]
+            return PolyMatrix(entries, cols=None if entries else cols)
+
+        n = len(A)
+        m = len(B[0]) if B else len(D[0]) if D else 0
+        return cls(grid(A, n), grid(B, m), grid(C, n), grid(D, m))
 
     @property
     def n(self) -> int:
@@ -296,46 +311,121 @@ def eliminate_latent(l: LatentRep) -> KernelRep:
     return KernelRep(kept, l.signal_labels)
 
 
-def statespace_to_kernel(s: StateSpace) -> KernelRep:
-    """Kernel representation of the external (u, y) behavior, with the state
-    treated as a latent signal and eliminated."""
-    n, m, p = s.n, s.m, s.p
-    manifest = vstack(
-        hstack(s.B, PolyMatrix.zeros(n, p)),
-        hstack(-s.D, PolyMatrix.identity(p)),
-    )
-    latent = vstack(PolyMatrix.identity(n) * S - s.A, s.C)
-    return eliminate_latent(LatentRep(manifest, latent, _io_labels(m, p)))
+def _integer_rows(M: PolyMatrix) -> tuple[list[list[int]], int]:
+    """A constant matrix as integer rows over the lcm of its denominators."""
+    den = lcm(*(e.den for row in M.entries for e in row))
+    return [[e.num[0] * (den // e.den) if e.num else 0 for e in row] for row in M.entries], den
 
 
 def statespace_to_io(s: StateSpace) -> IoSystem:
-    """Input-output form of a state-space system.
+    """Input-output form of a state-space system, from its observability
+    indices (Polderman & Willems, *Introduction to Mathematical Systems
+    Theory*, 1998, ch. 6; Kailath, *Linear Systems*, 1980, sec. 6.4).
 
-    Splits the minimal external kernel representation [R_u  R_y] as
-    P = R_y, Q = -R_u and normalizes each row so the leading entry of its
-    P block is monic. For well-formed state-space data the partition always
-    yields a square invertible P with proper P^-1 Q; this is asserted.
+    The rows C_i A^k are scanned by k, then by i. Output i stops at its
+    first row that depends on the rows selected before it, at k = nu_i:
+    C_i A^nu_i = sum alpha_jl C_j A^l over selected rows, so l <= nu_i, and
+    l = nu_i only for j < i. As y_j^(l) = C_j A^l x + D_j u^(l) +
+    sum_{t<l} C_j A^(l-1-t) B u^(t), the state cancels from row i of
+
+        s^nu_i y_i - sum alpha_jl s^l y_j = q_i(s) u,
+
+    where q_i collects the D and Markov terms C_j A^(l-1-t) B s^t. Row i of
+    P has a monic diagonal entry of degree nu_i, entries of degree below
+    nu_i after it and at most nu_i before it, so its leading row-coefficient
+    matrix is unit lower-triangular: P is row reduced, deg det P = sum nu_i
+    is the rank of the observability matrix, and P^-1 Q is proper, as Q's
+    row i has degree at most nu_i.
+
+    The scan runs on integers. With A, B, C and D scaled to integer matrices
+    over common denominators dA, dB, dC and dD, the row r_ik = C_i A^k times
+    dC dA^k is an integer vector. Each r_ik is reduced against an integer
+    echelon basis of the rows selected so far; each basis row carries a tag,
+    its combination of the selected rows. An update is fraction-free,
+    v := b_c v - v_c b on the row and the tag alike, followed by division by
+    the gcd of both. When v vanishes, its tag reads c r_i,nu_i +
+    sum tau_jl r_jl = 0, so alpha_jl = -(tau_jl / c) dA^l / dA^nu_i.
+    `Poly`s are built only for the p rows of [P | Q], whose numerators are
+    integers over dC dB dD c dA^nu_i.
+
+    `check_io_form` is run on the result as a self-check; its failure is a
+    `RuntimeError`, a fault rather than bad input.
     """
-    k = statespace_to_kernel(s)
-    m, p = s.m, s.p
-    if k.R.rows != p:
-        raise RuntimeError("state elimination produced an unexpected equation count")
-    rows = []
-    for row in k.R.entries:
-        out_block = row[m:]
-        for e in out_block:
-            if not e.is_zero:
-                if e.lc != 1:
-                    row = tuple(x / e.lc for x in row)
-                break
-        rows.append(row)
-    R = PolyMatrix(rows, cols=k.R.cols)
-    P = R.take_cols(range(m, m + p))
-    Q = -R.take_cols(range(m))
-    sys = IoSystem(P, Q)
+    n, m, p = s.n, s.m, s.p
+    A, dA = _integer_rows(s.A)
+    B, dB = _integer_rows(s.B)
+    C, dC = _integer_rows(s.C)
+    D, dD = _integer_rows(s.D)
+    a_cols = [[row[j] for row in A] for j in range(n)]
+    # rows[i][k] is r_ik; tags[i] is the tag of output i's dependent row.
+    rows: list[list[list[int]]] = [[r] for r in C]
+    tags: list[list[int]] = [[] for _ in range(p)]
+    basis: list[tuple[int, list[int], list[int]]] = []
+    selected: list[tuple[int, int]] = []
+    active = list(range(p))
+    k = 0
+    while active:
+        still = []
+        for i in active:
+            if k:
+                prev = rows[i][-1]
+                rows[i].append([sum(map(mul, prev, col)) for col in a_cols])
+            v = rows[i][k]
+            tag = [0] * len(selected) + [1]
+            for c, b, tb in basis:
+                x = v[c]
+                if x:
+                    y = b[c]
+                    v = [y * e - x * f for e, f in zip(v, b)]
+                    tag = [y * e - x * f for e, f in zip(tag, tb)] + [y * e for e in tag[len(tb):]]
+                    g = gcd(*v, *tag)
+                    if g > 1:
+                        v = [e // g for e in v]
+                        tag = [e // g for e in tag]
+            pivot = next((c for c, x in enumerate(v) if x), None)
+            if pivot is None:
+                tags[i] = tag
+            else:
+                basis.append((pivot, v, tag))
+                selected.append((i, k))
+                still.append(i)
+        active = still
+        k += 1
+
+    b_cols = [[row[j] for row in B] for j in range(m)]
+    # markov[j][k] is r_jk B, for the rows output j selected.
+    markov = [[[sum(map(mul, r, col)) for col in b_cols] for r in rs[:-1]] for rs in rows]
+    scale = dC * dB * dD
+    P_rows, Q_rows = [], []
+    for i in range(p):
+        tag = tags[i]
+        nu = len(rows[i]) - 1
+        # Output j's derivative of order l enters with weight w * dA^l.
+        terms = [(tag[-1], i, nu)] + [(w, *selected[x]) for x, w in enumerate(tag[:-1]) if w]
+        pn = [[0] * (nu + 1) for _ in range(p)]
+        qn = [[0] * (nu + 1) for _ in range(m)]
+        for w, j, l in terms:
+            wl = w * dA**l
+            pn[j][l] += wl * scale
+            for col, d in enumerate(D[j]):
+                qn[col][l] += wl * dC * dB * d
+            for t in range(l):
+                f = w * dA ** (t + 1) * dD
+                for col, e in enumerate(markov[j][l - 1 - t]):
+                    qn[col][t] += f * e
+        den = tag[-1] * dA**nu * scale
+        P_rows.append([_poly(e, den) for e in pn])
+        Q_rows.append([_poly(e, den) for e in qn])
+    sys = IoSystem(PolyMatrix(P_rows, cols=p), PolyMatrix(Q_rows, cols=m))
     if not check_io_form(sys):
         raise RuntimeError("state elimination did not yield input-output form")
     return sys
+
+
+def statespace_to_kernel(s: StateSpace) -> KernelRep:
+    """Kernel representation [-Q  P] of the external (u, y) behavior, from
+    the input-output form of `statespace_to_io`: p rows, P row reduced."""
+    return statespace_to_io(s).kernel()
 
 
 def check_io_form(sys: IoSystem) -> bool:

@@ -17,8 +17,9 @@ Grammar (EBNF sketch, ``#`` starts a line comment):
     coef       := INT | INT "/" INT
 
 An INT is a run of the ASCII digits 0-9. The exponent after "^" is at most
-`MAX_EXPONENT`, an integer has at most `MAX_DIGITS` digits, and the
-dimensions of a varlist add up to at most `MAX_DIMENSION`. Rational
+`MAX_EXPONENT`, an integer has at most `MAX_DIGITS` digits, the dimensions
+of a varlist add up to at most `MAX_DIMENSION`, and the matrix A of a
+statespace has at most `MAX_DIMENSION` rows. Rational
 coefficients are preserved exactly. Everything the toolkit prints (witness
 matrices, eliminated kernels, conjoined contracts) uses this same grammar,
 so outputs can be fed back in as inputs.
@@ -47,9 +48,11 @@ MAX_EXPONENT = 1000
 # lower, that limit applies instead.
 MAX_DIGITS = 4300
 
-# Largest total dimension of the signals in a ``vars`` list. Several steps
-# build an identity of that size, so time and memory grow with its square;
-# a larger total is a `ParseError`.
+# Largest total dimension of the signals in a ``vars`` list, and largest
+# state dimension of a ``statespace``. Several steps build an identity of
+# the signal dimension, and state elimination scans up to n rows of n
+# entries, so time and memory grow at least with the square of either; a
+# larger total or state dimension is a `ParseError`.
 MAX_DIMENSION = 100
 
 
@@ -391,7 +394,12 @@ class _Parser:
             ) from exc
 
     def parse_statespace_body(self) -> StateSpace:
+        tok = self.peek()
         A = self.field_matrix("A")
+        if A.rows > MAX_DIMENSION:
+            raise self.error(
+                f"state dimension {A.rows} is above the maximum {MAX_DIMENSION}", tok
+            )
         B = self.field_matrix("B")
         C = self.field_matrix("C")
         D = self.field_matrix("D")

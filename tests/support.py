@@ -13,8 +13,10 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from agverify import KernelRep, Poly, PolyMatrix, StateSpace
-from agverify.polyalg import ZERO
+from agverify import KernelRep, LatentRep, Poly, PolyMatrix, StateSpace, eliminate_latent
+from agverify.behavior import _io_labels
+from agverify.polyalg import ZERO, S
+from agverify.polymatrix import hstack, vstack
 
 # ---------------------------------------------------------------------------
 # Exact linear algebra over plain Fractions
@@ -138,6 +140,20 @@ def row_echelon_reference(grid: list[list[Poly]], ncols: int):
         a[rank] = [e / lc for e in a[rank]]
         pivots.append(c)
     return pivots, a
+
+
+def statespace_to_kernel_reference(s: StateSpace) -> KernelRep:
+    """The external (u, y) behavior of a state-space system by eliminating
+    the state from [sI - A; C] x = [B 0; -D I] (u, y) with
+    `eliminate_latent`, the construction `behavior.statespace_to_kernel`
+    used before it read the observability indices."""
+    n, p = s.n, s.p
+    manifest = vstack(
+        hstack(s.B, PolyMatrix.zeros(n, p)),
+        hstack(-s.D, PolyMatrix.identity(p)),
+    )
+    latent = vstack(PolyMatrix.identity(n) * S - s.A, s.C)
+    return eliminate_latent(LatentRep(manifest, latent, _io_labels(s.m, p)))
 
 
 def _primitive_polys(row: list[Poly]) -> list[Poly]:

@@ -26,7 +26,7 @@ from agverify.behavior import (
     transfer_matrix,
 )
 from agverify.polyalg import ONE, S, ZERO, Poly
-from agverify.polymatrix import PolyMatrix, hstack, rank_generic, row_echelon, vstack
+from agverify.polymatrix import PolyMatrix, hstack, is_proper, rank_generic, row_echelon, vstack
 from support import (
     eval_matrix,
     evaluation_rank,
@@ -36,6 +36,7 @@ from support import (
     random_matrix,
     random_statespace,
     random_unimodular,
+    statespace_to_kernel_reference,
 )
 from test_polymatrix import poly_matrices
 
@@ -259,6 +260,30 @@ QUARTER_CAR = StateSpace.from_lists(
 )
 
 
+@st.composite
+def statespace_systems(draw):
+    """Systems with n = 0..5 states, 0..2 inputs and 1..3 outputs, built
+    through `StateSpace.from_lists`, with entries drawn from a few rationals
+    and zeros; C often has a zero row or repeats a row, so the pair (C, A)
+    is unobservable."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    m = draw(st.integers(min_value=0, max_value=2))
+    p = draw(st.integers(min_value=1, max_value=3))
+    value = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
+
+    def grid(rows, cols):
+        return [[draw(value) for _ in range(cols)] for _ in range(rows)]
+
+    A, B, C, D = grid(n, n), grid(n, m), grid(p, n), grid(p, m)
+    if p > 1:
+        kind = draw(st.sampled_from(["plain", "zero", "repeated"]))
+        if kind == "zero":
+            C[-1] = [0] * n
+        elif kind == "repeated":
+            C[-1] = list(C[0])
+    return StateSpace.from_lists(A, B, C, D)
+
+
 class TestStateSpaceConversion:
     def test_scalar_integrator(self):
         s = StateSpace.from_lists([[0]], [[1]], [[1]], [[0]])
@@ -276,6 +301,31 @@ class TestStateSpaceConversion:
         io = statespace_to_io(s)
         assert io.P == PolyMatrix.identity(2)
         assert io.Q == PolyMatrix([[2, 1], [0, 1]])
+
+    def test_from_lists_without_rows(self):
+        # A matrix without rows takes its width from its partner: B from D
+        # when n = 0, D from B when p = 0, and C from A.
+        s = StateSpace.from_lists([], [], [[], []], [[2, 1], [0, 1]])
+        assert (s.n, s.m, s.p) == (0, 2, 2)
+        assert statespace_to_io(s).Q == PolyMatrix([[2, 1], [0, 1]])
+        s = StateSpace.from_lists([[0]], [[1, 2]], [], [])
+        assert (s.n, s.m, s.p, s.C.cols, s.D.cols) == (1, 2, 0, 1, 2)
+        s = StateSpace.from_lists([], [], [], [])
+        assert (s.n, s.m, s.p) == (0, 0, 0)
+
+    @settings(deadline=None, max_examples=150)
+    @given(statespace_systems())
+    def test_matches_elimination_reference(self, s):
+        k = statespace_to_kernel(s)
+        assert behavior_equal(k, statespace_to_kernel_reference(s)).holds
+        assert k.R.rows == s.p
+        P, Q = k.R.take_cols(range(s.m, s.m + s.p)), -k.R.take_cols(range(s.m))
+        assert is_proper(P, Q)
+        # The leading row-coefficient matrix of P is unit lower-triangular.
+        for i, row in enumerate(P.entries):
+            d = max(e.degree for e in row)
+            lead = [e.coeff(d) for e in row]
+            assert lead[i] == 1 and not any(lead[i + 1:])
 
     def test_quarter_car_elimination(self):
         # d^2 y = d^2 u1 + d(u1 - u2) + (u1 - u2) for unit parameters.

@@ -66,6 +66,31 @@ class TestExitCodes:
         col = len(f"kernel K {{ vars a:{MAX_DIMENSION}, b:") + 1
         assert f"{over}:1:{col}: signal dimensions add up to {MAX_DIMENSION + 1}" in err
 
+    def test_state_dimension_cap_is_two(self, capsys, monkeypatch, tmp_path):
+        def statespace(n):
+            zeros = "[" + ", ".join(["0"] * n) + "]"
+            A = "[" + ", ".join([zeros] * n) + "]"
+            B = "[" + ", ".join(["[1]"] * n) + "]"
+            return f"statespace S {{\n A {A}\n B {B}\n C [[1{', 0' * (n - 1)}]]\n D [[0]] }}"
+
+        at_cap = tmp_path / "at_cap.ag"
+        at_cap.write_text(statespace(MAX_DIMENSION))
+        code, out, _ = run(capsys, "check-io", "S", str(at_cap))
+        assert code == 0 and "P: [[s]]" in out
+
+        def eliminated(*args):
+            raise AssertionError("state elimination ran")
+
+        monkeypatch.setattr(cli, "statespace_to_io", eliminated)
+        over = tmp_path / "over.ag"
+        over.write_text(statespace(MAX_DIMENSION + 1))
+        code, out, err = run(capsys, "check-io", "S", str(over))
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: {over}:2:2: state dimension {MAX_DIMENSION + 1} is above the maximum "
+            f"{MAX_DIMENSION}\n"
+        )
+
     def test_digit_cap_is_two(self, capsys, tmp_path):
         at_cap = tmp_path / "at_cap.ag"
         at_cap.write_text(f"kernel K {{ vars y:1 R [[{'9' * MAX_DIGITS}]] }}")
@@ -121,6 +146,13 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err == f"internal error: {fault}\n"
+
+    def test_failed_io_form_check_is_three(self, capsys, monkeypatch):
+        # statespace_to_io checks its own result; a failure is a fault.
+        monkeypatch.setattr(behavior, "check_io_form", lambda sys: False)
+        code, out, err = run(capsys, "eliminate", "S", *CORPUS)
+        assert code == 3 and out == ""
+        assert err == "internal error: state elimination did not yield input-output form\n"
 
     def test_inexact_division_in_pass_is_three(self, capsys, monkeypatch):
         # Every integer division of the Bareiss pass reports a remainder, so
@@ -225,6 +257,46 @@ class TestCommands:
         f.write_text("iosystem D { P [[1]] Q [[s]] }")
         code, out, _ = run(capsys, "check-io", "D", str(f))
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv, text, fields",
+        [
+            (
+                ("eliminate", "S"),
+                "kernel: \nkernel S_kernel {\n  vars u:2, y:1\n"
+                "  R [[-s^2 - s - 1, s + 1, s^2]]\n}",
+                {"kernel": {"vars": "u:2, y:1",
+                            "R": [[["-1", "-1", "-1"], ["1", "1"], ["0", "0", "1"]]]}},
+            ),
+            (
+                ("check-io", "S"),
+                "result: holds\nP: [[s^2]]\nQ: [[s^2 + s + 1, -s - 1]]",
+                {"P": [[["0", "0", "1"]]], "Q": [[["1", "1", "1"], ["-1", "-1"]]]},
+            ),
+            (
+                ("check-io", "S0"),
+                "result: holds\nP: [[s^2]]\nQ: [[-s - 1, s^2 + s + 2]]",
+                {"P": [[["0", "0", "1"]]], "Q": [[["-1", "-1"], ["2", "1", "1"]]]},
+            ),
+            (
+                ("implements", "S", "C"),
+                "result: holds\nwitness (guarantees): M = [[1]]\n  checks M * [[s^2]] = [[s^2]]",
+                {"witnesses": [{"label": "guarantees", "multiplier": [[["1"]]],
+                                "source": [[["0", "0", "1"]]], "target": [[["0", "0", "1"]]]}]},
+            ),
+        ],
+    )
+    def test_statespace_outputs_golden(self, capsys, argv, text, fields):
+        # State-space systems are printed in the normal form read off their
+        # observability indices: P row reduced with monic diagonal.
+        code, out, _ = run(capsys, *argv, *CORPUS)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "command: " + " ".join(argv) and lines[-1].startswith("elapsed: ")
+        assert "\n".join(lines[1:-1]) == text
+        code, out, _ = run(capsys, *argv, "--format", "json", *CORPUS)
+        obj = json.loads(out)
+        assert code == 0 and {k: obj[k] for k in fields} == fields
 
     def test_eliminate_output_reparses(self, capsys):
         code, out, _ = run(capsys, "eliminate", "S", *CORPUS)

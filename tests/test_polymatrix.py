@@ -518,8 +518,9 @@ class TestProper:
     @settings(deadline=None)
     @given(proper_instances(rationals(4)))
     def test_matches_inversion_oracle_rational(self, instance):
-        # statespace_to_io divides each row by a leading coefficient, so most
-        # properness tests on a state-space system see denominators.
+        # statespace_to_io makes the diagonal of P monic and carries rational
+        # alphas and Markov terms elsewhere, so most properness tests on a
+        # state-space system see denominators.
         self.check_against_inversion(*instance)
 
     def test_hstack_shapes(self):
