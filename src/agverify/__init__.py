@@ -28,7 +28,6 @@ from .behavior import (
     minimal_kernel,
     statespace_to_io,
     statespace_to_kernel,
-    transfer_matrix,
 )
 from .contracts import (
     Contract,
@@ -51,18 +50,16 @@ from .docparse import (
     parse_document,
     parse_documents,
 )
-from .polyalg import ONE, S, ZERO, Poly, RatFunc, Rational, poly_gcd, poly_lcm
+from .polyalg import ONE, S, ZERO, Poly, poly_gcd, poly_lcm
 from .polymatrix import (
     DimensionError,
     PolyMatrix,
-    RatMatrix,
     SelfCheckError,
     SingularMatrixError,
     SmithDecomposition,
     block,
     determinant,
     hstack,
-    invert_ratmatrix,
     is_proper,
     is_unimodular,
     rank_generic,

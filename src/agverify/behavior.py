@@ -16,7 +16,9 @@ elimination, from its observability indices (Polderman & Willems,
 gives P y = Q u with one row per output and P row reduced. Inclusion solves
 the multiplier by Cramer's rule with one fraction-free (Bareiss) pass,
 reducing the source with `row_echelon` first only when its rows are
-dependent.
+dependent. Every decision stays in Q[s]: `check_io_form` reads properness of
+P^-1 Q off Cramer numerators, and no transfer matrix or other rational
+function is ever formed.
 """
 
 from __future__ import annotations
@@ -27,17 +29,15 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .polyalg import Poly, S, Scalar, _frac, _poly
+from .polyalg import Poly, Scalar, _frac, _poly
 from .polymatrix import (
     DimensionError,
     PolyMatrix,
-    RatMatrix,
     SelfCheckError,
     SingularMatrixError,
     _fraction_free,
     determinant,
     hstack,
-    invert_ratmatrix,
     is_proper,
     row_echelon,
     # No decision here uses it; perfbench/test_instances.py::
@@ -163,17 +163,21 @@ class StateSpace:
 
     @classmethod
     def from_lists(cls, A, B, C, D) -> "StateSpace":
-        """From nested lists of constants; a matrix without rows takes its
-        width from the state dimension (C) or from its partner (B from D,
-        D from B)."""
-
-        def grid(rows, cols):
-            entries = [[Poly([_frac(x)]) for x in row] for row in rows]
-            return PolyMatrix(entries, cols=None if entries else cols)
-
+        """From nested lists of constants. B is n x m, C is p x n and D is
+        p x m, for n the rows of A, m the width of B or else of D, and p the
+        rows of C or else of D. A matrix given without rows takes the empty
+        shape this implies: p x 0 for C when n = 0, n x 0 for B and p x 0
+        for D when m = 0, and no rows otherwise."""
         n = len(A)
         m = len(B[0]) if B else len(D[0]) if D else 0
-        return cls(grid(A, n), grid(B, m), grid(C, n), grid(D, m))
+        p = len(C) if C else len(D)
+
+        def grid(entries, rows, cols):
+            if entries:
+                return PolyMatrix(entries)
+            return PolyMatrix([] if cols else [()] * rows, cols=cols)
+
+        return cls(grid(A, n, n), grid(B, n, m), grid(C, p, n), grid(D, p, m))
 
     @property
     def n(self) -> int:
@@ -439,12 +443,6 @@ def check_io_form(sys: IoSystem) -> bool:
         return is_proper(sys.P, sys.Q)
     except SingularMatrixError:
         return False
-
-
-def transfer_matrix(s: StateSpace) -> RatMatrix:
-    """C (sI - A)^-1 B + D as an exact rational matrix."""
-    resolvent = invert_ratmatrix(PolyMatrix.identity(s.n) * S - s.A)
-    return (RatMatrix.from_polymatrix(s.C) * resolvent * s.B) + RatMatrix.from_polymatrix(s.D)
 
 
 def _left_quotient(src: Sequence[Sequence[Poly]], target: PolyMatrix) -> PolyMatrix | str | None:

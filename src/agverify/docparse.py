@@ -19,10 +19,12 @@ Grammar (EBNF sketch, ``#`` starts a line comment):
 An INT is a run of the ASCII digits 0-9. The exponent after "^" is at most
 `MAX_EXPONENT`, an integer has at most `MAX_DIGITS` digits, the dimensions
 of a varlist add up to at most `MAX_DIMENSION`, and the matrix A of a
-statespace has at most `MAX_DIMENSION` rows. Rational
-coefficients are preserved exactly. Everything the toolkit prints (witness
-matrices, eliminated kernels, conjoined contracts) uses this same grammar,
-so outputs can be fed back in as inputs.
+statespace has at most `MAX_DIMENSION` rows. In a statespace a matrix
+written ``[]`` is empty and takes the shape the others imply
+(`StateSpace.from_lists`), so ``A [] B [] C [] D [[2, 1]]`` is a memoryless
+system. Coefficients are kept as exact rationals. Everything the toolkit
+prints (witness matrices, eliminated kernels, conjoined contracts) uses this
+same grammar, so outputs can be fed back in as inputs.
 """
 
 from __future__ import annotations
@@ -403,7 +405,7 @@ class _Parser:
         B = self.field_matrix("B")
         C = self.field_matrix("C")
         D = self.field_matrix("D")
-        return StateSpace(A, B, C, D)
+        return StateSpace.from_lists(A.entries, B.entries, C.entries, D.entries)
 
     def parse_iosystem_body(self) -> IoSystem:
         P = self.field_matrix("P")

@@ -7,6 +7,11 @@ matrix layer (`polymatrix`) depends on this for divisibility tests,
 singularity detection and canonical forms. Division is a pseudo-division of
 the integer numerators (`_pseudo_divmod`), which `polymatrix.row_echelon`
 also runs directly on integer coefficient lists, without building a `Poly`.
+A `Poly` divides only by a scalar; `divmod` divides by a polynomial.
+
+`RatFunc`, `poly_gcd` and `poly_lcm` take no part in any decision: every
+decision stays in Q[s]. They remain as an independent reference for tests,
+and the benchmark tracer in ``perfbench/`` counts their calls.
 
 Conventions:
 
@@ -27,7 +32,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 
 NEG_INF = float("-inf")
@@ -189,16 +193,14 @@ class Poly:
     def __mod__(self, other) -> "Poly":
         return divmod(self, other)[1]
 
-    def __truediv__(self, other):
-        """Divide by a scalar (giving a Poly) or by a Poly (giving a RatFunc)."""
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError("polynomial division by zero")
-            d = other.denominator
-            return _poly([c * d for c in self.num], self.den * other.numerator)
-        if isinstance(other, Poly):
-            return RatFunc(self, other)
-        return NotImplemented
+    def __truediv__(self, other) -> "Poly":
+        """Divide by a nonzero scalar; `divmod` divides by a polynomial."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("polynomial division by zero")
+        d = other.denominator
+        return _poly([c * d for c in self.num], self.den * other.numerator)
 
     def divides(self, other: "Poly") -> bool:
         """True when ``other`` is a polynomial multiple of ``self``."""
@@ -369,7 +371,7 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
 
 
 class RatFunc:
-    """Rational function num/den, stored reduced with a monic denominator."""
+    """A rational function num/den, stored reduced with a monic denominator."""
 
     __slots__ = ("num", "den")
 

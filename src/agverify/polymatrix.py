@@ -1,30 +1,24 @@
 """Matrices over Q[s]: arithmetic, determinants, generic rank, row echelon
-form, inversion and the Smith canonical form.
+form and the Smith canonical form.
 
-Everything is exact. `PolyMatrix` (entries in Q[s]) and `RatMatrix`
-(entries in the fraction field Q(s)) share one immutable container, with its
-shape checks, sums, product and value protocol; each class adds only the
-coercion of its entries and what is particular to its ring. Two eliminations
-do all the work in Q[s]. A fraction-free (Bareiss) elimination backs the
-determinant, the generic rank, the properness test and the Cramer solve of
-`behavior.behavior_included`, so none of them leaves the polynomial ring. It
-runs on Python integers: each row is scaled to integer coefficients and each
-entry replaced by its value at a power of two large enough to read the
-polynomial back (Kronecker substitution), so an update is one big-integer
-expression and builds no `Poly`.
-`row_echelon` is the reduction behind minimization and latent elimination:
-unimodular row operations over the Euclidean domain Q[s], carrying along
-whatever columns sit to the right, so reducing [R | I] yields the left
-transform with the echelon form. It runs on integer coefficient lists as
-well: each row is scaled to integer coefficients, each update is one
-pseudo-division followed by division by the row's content, and `Poly`
-entries are built only when a row is written back. `smith_form`, which
-backs the ``smith`` command, is built from the two: it alternates
-`row_echelon` on the rows and on the columns until the matrix is diagonal,
-and inverts the accumulated unimodular transforms by fraction-free
-Gauss-Jordan passes. `RatMatrix` and `invert_ratmatrix` back only
-`behavior.transfer_matrix`, an independent cross-check of state elimination,
-and no decision uses them.
+Everything is exact, and no rational function is ever formed. Two
+eliminations do all the work in Q[s]. A fraction-free (Bareiss) elimination
+backs the determinant, the generic rank, the properness test and the Cramer
+solve of `behavior.behavior_included`, so none of them leaves the polynomial
+ring. It runs on Python integers: each row is scaled to integer coefficients
+and each entry replaced by its value at a power of two large enough to read
+the polynomial back (Kronecker substitution), so an update is one
+big-integer expression and builds no `Poly`. `row_echelon` is the reduction
+behind minimization and latent elimination: unimodular row operations over
+the Euclidean domain Q[s], carrying along whatever columns sit to the right,
+so reducing [R | I] yields the left transform with the echelon form. It runs
+on integer coefficient lists as well: each row is scaled to integer
+coefficients, each update is one pseudo-division followed by division by the
+row's content, and `Poly` entries are built only when a row is written back.
+`smith_form`, which backs the ``smith`` command, is built from the two: it
+alternates `row_echelon` on the rows and on the columns until the matrix is
+diagonal, and inverts the accumulated unimodular transforms by fraction-free
+Gauss-Jordan passes.
 """
 
 from __future__ import annotations
@@ -34,7 +28,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .polyalg import ONE, ZERO, Poly, RatFunc, _as_poly, _as_ratfunc, _poly, _pseudo_divmod
+from .polyalg import ONE, ZERO, Poly, _as_poly, _poly, _pseudo_divmod
 
 
 class DimensionError(ValueError):
@@ -56,22 +50,21 @@ def _coerce_entry(x) -> Poly:
     return p
 
 
-class _Matrix:
-    """Immutable rows x cols grid; a subclass names its entry coercion `_entry`.
+class PolyMatrix:
+    """Immutable rows x cols matrix of `Poly` entries.
 
     ``cols`` must be given explicitly when constructing a matrix with zero
-    rows; every other shape is inferred from the entry grid. Matrices of
-    different classes never compare equal.
+    rows; every other shape is inferred from the entry grid.
     """
 
     __slots__ = ("rows", "cols", "entries")
 
     rows: int
     cols: int
+    entries: tuple[tuple[Poly, ...], ...]
 
     def __init__(self, entries: Iterable[Iterable] = (), cols: int | None = None):
-        coerce = self._entry
-        grid = tuple(tuple(map(coerce, row)) for row in entries)
+        grid = tuple(tuple(map(_coerce_entry, row)) for row in entries)
         if grid:
             ncols = len(grid[0])
             for row in grid:
@@ -90,88 +83,13 @@ class _Matrix:
         object.__setattr__(self, "entries", grid)
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @classmethod
-    def identity(cls, n: int):
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)], cols=n)
-
-    def __getitem__(self, key: tuple[int, int]):
-        i, j = key
-        return self.entries[i][j]
-
-    def shape_str(self) -> str:
-        return f"{self.rows}x{self.cols}"
-
-    # -- arithmetic -------------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError(f"cannot add {self.shape_str()} and {other.shape_str()}")
-        return type(self)(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-            cols=self.cols,
-        )
-
-    def __neg__(self):
-        return type(self)([[-e for e in row] for row in self.entries], cols=self.cols)
-
-    def __sub__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self + (-other)
-
-    def _product(self, other):
-        """The matrix product with ``other``, of this matrix's class."""
-        if self.cols != other.rows:
-            raise DimensionError(f"cannot multiply {self.shape_str()} by {other.shape_str()}")
-        zero = self._entry(ZERO)
-        cols = other.cols
-        out = []
-        for i in range(self.rows):
-            row_i = self.entries[i]
-            out_row = []
-            for j in range(cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = row_i[k]
-                    if not a.is_zero:
-                        b = other.entries[k][j]
-                        if not b.is_zero:
-                            acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return type(self)(out, cols=cols)
-
-    # -- value protocol ----------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.rows, self.cols, self.entries))
-
-    def __str__(self) -> str:
-        return "[" + ", ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries) + "]"
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self})"
-
-
-class PolyMatrix(_Matrix):
-    """Immutable rows x cols matrix of `Poly` entries."""
-
-    __slots__ = ()
-
-    entries: tuple[tuple[Poly, ...], ...]
-
-    _entry = staticmethod(_coerce_entry)
+        raise AttributeError("PolyMatrix is immutable")
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def identity(cls, n: int) -> "PolyMatrix":
+        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)], cols=n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "PolyMatrix":
@@ -184,6 +102,13 @@ class PolyMatrix(_Matrix):
         return cls([[ds[i] if i == j else ZERO for j in range(n)] for i in range(n)], cols=n)
 
     # -- access ---------------------------------------------------------------
+
+    def __getitem__(self, key: tuple[int, int]) -> Poly:
+        i, j = key
+        return self.entries[i][j]
+
+    def shape_str(self) -> str:
+        return f"{self.rows}x{self.cols}"
 
     def take_rows(self, indices: Iterable[int]) -> "PolyMatrix":
         return PolyMatrix([self.entries[i] for i in indices], cols=self.cols)
@@ -207,13 +132,45 @@ class PolyMatrix(_Matrix):
 
     # -- arithmetic -------------------------------------------------------------
 
+    def __add__(self, other):
+        if not isinstance(other, PolyMatrix):
+            return NotImplemented
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionError(f"cannot add {self.shape_str()} and {other.shape_str()}")
+        return PolyMatrix(
+            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
+            cols=self.cols,
+        )
+
+    def __neg__(self) -> "PolyMatrix":
+        return PolyMatrix([[-e for e in row] for row in self.entries], cols=self.cols)
+
+    def __sub__(self, other):
+        if not isinstance(other, PolyMatrix):
+            return NotImplemented
+        return self + (-other)
+
     def __mul__(self, other):
-        if isinstance(other, PolyMatrix):
-            return self._product(other)
-        if isinstance(other, (Poly, int, Fraction)):
-            p = _coerce_entry(other)
-            return PolyMatrix([[e * p for e in row] for row in self.entries], cols=self.cols)
-        return NotImplemented
+        if not isinstance(other, PolyMatrix):
+            if isinstance(other, (Poly, int, Fraction)):
+                p = _coerce_entry(other)
+                return PolyMatrix([[e * p for e in row] for row in self.entries], cols=self.cols)
+            return NotImplemented
+        if self.cols != other.rows:
+            raise DimensionError(f"cannot multiply {self.shape_str()} by {other.shape_str()}")
+        out = []
+        for row in self.entries:
+            out_row = []
+            for j in range(other.cols):
+                acc = ZERO
+                for a, other_row in zip(row, other.entries):
+                    if not a.is_zero:
+                        b = other_row[j]
+                        if not b.is_zero:
+                            acc = acc + a * b
+                out_row.append(acc)
+            out.append(out_row)
+        return PolyMatrix(out, cols=other.cols)
 
     def __rmul__(self, other):
         if isinstance(other, (Poly, int, Fraction)):
@@ -225,6 +182,22 @@ class PolyMatrix(_Matrix):
             [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
             cols=self.rows,
         )
+
+    # -- value protocol ----------------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PolyMatrix):
+            return NotImplemented
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.entries))
+
+    def __str__(self) -> str:
+        return "[" + ", ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries) + "]"
+
+    def __repr__(self) -> str:
+        return f"PolyMatrix({self})"
 
 
 def hstack(*mats: PolyMatrix) -> PolyMatrix:
@@ -595,66 +568,6 @@ def smith_form(R: PolyMatrix) -> SmithDecomposition:
     )
 
 
-def _coerce_ratfunc(x) -> RatFunc:
-    r = _as_ratfunc(x)
-    if r is NotImplemented:
-        raise TypeError(f"rational-function entry expected, got {type(x).__name__}")
-    return r
-
-
-class RatMatrix(_Matrix):
-    """Immutable matrix of `RatFunc` entries; all entries stored canonical.
-
-    A `PolyMatrix` operand of ``*`` is lifted to Q(s) first.
-    """
-
-    __slots__ = ()
-
-    entries: tuple[tuple[RatFunc, ...], ...]
-
-    _entry = staticmethod(_coerce_ratfunc)
-
-    @classmethod
-    def from_polymatrix(cls, P: PolyMatrix) -> "RatMatrix":
-        return cls([[RatFunc(e) for e in row] for row in P.entries], cols=P.cols)
-
-    def __mul__(self, other):
-        if isinstance(other, PolyMatrix):
-            other = RatMatrix.from_polymatrix(other)
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        return self._product(other)
-
-
-def invert_ratmatrix(P: PolyMatrix) -> RatMatrix:
-    """Exact inverse of a square polynomial matrix over Q(s).
-
-    Raises `SingularMatrixError` when det(P) = 0 and `DimensionError` when P
-    is not square.
-    """
-    if not P.is_square:
-        raise DimensionError(f"inverse of non-square {P.shape_str()} matrix")
-    n = P.rows
-    a = [[RatFunc(e) for e in row] + [RatFunc(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(P.entries)]
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if not a[i][c].is_zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is not invertible (zero determinant)")
-        a[c], a[pivot_row] = a[pivot_row], a[c]
-        pivot = a[c][c]
-        a[c] = [x / pivot for x in a[c]]
-        for i in range(n):
-            if i != c and not a[i][c].is_zero:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return RatMatrix([row[n:] for row in a], cols=n)
-
-
 def is_proper(P: PolyMatrix, Q: PolyMatrix) -> bool:
     """True iff every entry of P^-1 Q is a proper rational function.
 
@@ -668,7 +581,7 @@ def is_proper(P: PolyMatrix, Q: PolyMatrix) -> bool:
     if P.rows != Q.rows:
         raise DimensionError("P and Q must have the same number of rows")
     if not P.is_square:
-        raise DimensionError(f"inverse of non-square {P.shape_str()} matrix")
+        raise DimensionError(f"properness of P^-1 Q needs a square P, got {P.shape_str()}")
     n = P.rows
     a = [p + q for p, q in zip(P.entries, Q.entries)]
     rank, _, det, right, _ = _fraction_free(a, n, jordan=True)

@@ -1,10 +1,11 @@
 """Shared test helpers: independent oracles and random-instance generators.
 
 The oracles here deliberately avoid the library's decision paths: the
-determinant oracle is plain cofactor expansion, the inclusion oracle solves
-the multiplier equation as a finite linear system over Q by coefficient
-matching, and rank probing evaluates at rational points and eliminates over
-plain Fractions.
+determinant and adjugate oracles are plain cofactor expansion, the transfer
+identity of a state-space system is checked with its denominators cleared,
+the inclusion oracle solves the multiplier equation as a finite linear system
+over Q by coefficient matching, and rank probing evaluates at rational points
+and eliminates over plain Fractions.
 """
 
 from __future__ import annotations
@@ -79,6 +80,27 @@ def det_cofactor(M: PolyMatrix) -> Poly:
         term = a * det_cofactor(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
+
+
+def adjugate_cofactor(M: PolyMatrix) -> PolyMatrix:
+    """Adjugate by cofactors: entry (i, j) is (-1)^(i+j) times the minor of
+    M without row j and column i, so M * adj(M) = det(M) * I."""
+    n = M.rows
+    others = [[c for c in range(n) if c != k] for k in range(n)]
+    return PolyMatrix(
+        [[(-1) ** (i + j) * det_cofactor(M.take_rows(others[j]).take_cols(others[i]))
+          for j in range(n)] for i in range(n)],
+        cols=n,
+    )
+
+
+def transfer_identity_holds(s: StateSpace, P: PolyMatrix, Q: PolyMatrix) -> bool:
+    """P^-1 Q = C (sI - A)^-1 B + D with the denominators cleared: det P != 0
+    and P (C adj(sI - A) B + chi D) = chi Q for chi = det(sI - A) != 0."""
+    resolvent = PolyMatrix.identity(s.n) * S - s.A
+    chi = det_cofactor(resolvent)
+    numerator = s.C * adjugate_cofactor(resolvent) * s.B + s.D * chi
+    return not det_cofactor(P).is_zero and P * numerator == Q * chi
 
 
 def bareiss_reference(grid: list[list[Poly]], ncols: int, jordan: bool = False):

@@ -23,7 +23,6 @@ from agverify.behavior import (
     minimal_kernel,
     statespace_to_io,
     statespace_to_kernel,
-    transfer_matrix,
 )
 from agverify.polyalg import ONE, S, ZERO, Poly
 from agverify.polymatrix import PolyMatrix, hstack, is_proper, rank_generic, row_echelon, vstack
@@ -37,6 +36,7 @@ from support import (
     random_statespace,
     random_unimodular,
     statespace_to_kernel_reference,
+    transfer_identity_holds,
 )
 from test_polymatrix import poly_matrices
 
@@ -312,6 +312,14 @@ class TestStateSpaceConversion:
         assert (s.n, s.m, s.p, s.C.cols, s.D.cols) == (1, 2, 0, 1, 2)
         s = StateSpace.from_lists([], [], [], [])
         assert (s.n, s.m, s.p) == (0, 0, 0)
+        # With no states C takes D's rows; with no inputs B and D get no columns.
+        s = StateSpace.from_lists([], [], [], [[2, 1]])
+        assert (s.n, s.m, s.p, s.C.rows) == (0, 2, 1, 1)
+        io = statespace_to_io(s)
+        assert (io.P, io.Q) == (PolyMatrix([[1]]), PolyMatrix([[2, 1]]))
+        s = StateSpace.from_lists([[0]], [], [[1]], [])
+        assert (s.n, s.m, s.p, s.B.rows, s.D.rows) == (1, 0, 1, 1, 1)
+        assert statespace_to_io(s).P == PolyMatrix([[S]])
 
     @settings(deadline=None, max_examples=150)
     @given(statespace_systems())
@@ -345,9 +353,13 @@ class TestStateSpaceConversion:
             sp = random_statespace(rng, max_n=3)
             io = statespace_to_io(sp)
             assert check_io_form(io)
-            from agverify.polymatrix import invert_ratmatrix
+            assert transfer_identity_holds(sp, io.P, io.Q)
 
-            assert invert_ratmatrix(io.P) * io.Q == transfer_matrix(sp)
+    @settings(deadline=None)
+    @given(statespace_systems())
+    def test_transfer_identity_property(self, s):
+        io = statespace_to_io(s)
+        assert transfer_identity_holds(s, io.P, io.Q)
 
 
 class TestCheckIoForm:

@@ -252,6 +252,14 @@ class TestCommands:
         assert code == 0
         assert "P [[s^2]]" in out.replace("P: ", "P ")
 
+    def test_check_io_memoryless(self, capsys, tmp_path):
+        # With no states, C [] takes D's row count: y = 2 u1 + u2.
+        f = tmp_path / "m.ag"
+        f.write_text("statespace M { A [] B [] C [] D [[2, 1]] }")
+        code, out, _ = run(capsys, "check-io", "M", str(f))
+        assert code == 0
+        assert "\nP: [[1]]\nQ: [[2, 1]]\n" in out
+
     def test_check_io_rejects_non_io(self, capsys, tmp_path):
         f = tmp_path / "d.ag"
         f.write_text("iosystem D { P [[1]] Q [[s]] }")

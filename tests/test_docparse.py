@@ -164,6 +164,18 @@ class TestDefinitions:
         assert isinstance(ss, StateSpace)
         assert (ss.n, ss.m, ss.p) == (2, 2, 1)
 
+    def test_statespace_empty_matrices(self):
+        # `[]` takes the empty shape the other matrices imply.
+        doc = parse_document(
+            "statespace M { A [] B [] C [] D [[2, 1]] }\n"
+            "statespace N { A [[0]] B [] C [[1]] D [] }"
+        )
+        M, N = doc.get("M").value, doc.get("N").value
+        assert (M.n, M.m, M.p, M.B.cols, M.C.rows) == (0, 2, 1, 2, 1)
+        assert (N.n, N.m, N.p, N.B.rows, N.D.rows) == (1, 0, 1, 1, 1)
+        with pytest.raises(DimensionInconsistencyError):
+            parse_document("statespace S { A [[0]] B [] C [[1]] D [[1]] }")
+
     def test_iosystem(self):
         doc = parse_document("iosystem IO { P [[s]] Q [[1]] }")
         io = doc.get("IO").value

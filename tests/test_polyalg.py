@@ -226,6 +226,13 @@ class TestRationalOracle:
     def test_evaluation(self, a, x):
         assert Poly(a)(x) == sum(c * x**k for k, c in enumerate(a))
 
+    def test_division_by_poly_is_type_error(self):
+        # A quotient of polynomials is a rational function; the package forms none.
+        with pytest.raises(TypeError):
+            Poly([1]) / Poly([0, 1])
+        with pytest.raises(TypeError):
+            ONE / S
+
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             Poly([Fraction(1, 2), 0.5])

@@ -1,4 +1,4 @@
-"""Polynomial-matrix layer: arithmetic, determinant, rank, Smith form, inversion."""
+"""Polynomial-matrix layer: arithmetic, determinant, rank, Smith form, properness."""
 
 import random
 from fractions import Fraction
@@ -8,17 +8,15 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from agverify.polyalg import ONE, S, ZERO, Poly, RatFunc, poly_gcd
+from agverify.polyalg import ONE, S, ZERO, Poly, poly_gcd
 from agverify.polymatrix import (
     DimensionError,
     PolyMatrix,
-    RatMatrix,
     SingularMatrixError,
     _fraction_free,
     block,
     determinant,
     hstack,
-    invert_ratmatrix,
     is_proper,
     is_unimodular,
     rank_generic,
@@ -151,6 +149,13 @@ def with_identity(R: PolyMatrix) -> tuple[list[list[Poly]], int]:
     return [list(row) + list(e) for row, e in zip(R.entries, identity)], R.cols
 
 
+@st.composite
+def product_pairs(draw):
+    """(A, B) of shapes m x k and k x n, each of m, k, n from 0 to 3."""
+    m, k, n = (draw(st.integers(min_value=0, max_value=3)) for _ in range(3))
+    return draw(poly_matrices(m, k)), draw(poly_matrices(k, n))
+
+
 class TestArithmetic:
     def test_identity_multiplication(self):
         X = PolyMatrix([[S, 1], [2, S**2]])
@@ -169,6 +174,10 @@ class TestArithmetic:
             PolyMatrix([[S]]) + PolyMatrix([[S, 1]])
         with pytest.raises(DimensionError):
             PolyMatrix([[S, 1]]) * PolyMatrix([[S, 1]])
+        with pytest.raises(DimensionError):
+            PolyMatrix([[1, S]], cols=3)
+        with pytest.raises(DimensionError):
+            PolyMatrix([], cols=-1)
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(DimensionError):
@@ -188,6 +197,19 @@ class TestArithmetic:
 
     def test_scalar_product(self):
         assert S * PolyMatrix.identity(2) == PolyMatrix.diag([S, S])
+
+    @settings(deadline=None)
+    @given(product_pairs())
+    def test_product_matches_evaluation(self, pair):
+        # Entries of A * B have degree at most 4, so values at five points fix them.
+        A, B = pair
+        AB = A * B
+        assert (AB.rows, AB.cols) == (A.rows, B.cols)
+        for x in (Fraction(k, 2) for k in range(-2, 3)):
+            a, b = eval_matrix(A, x), eval_matrix(B, x)
+            want = [[sum(a[i][t] * b[t][j] for t in range(A.cols)) for j in range(B.cols)]
+                    for i in range(A.rows)]
+            assert eval_matrix(AB, x) == want
 
 
 class TestDeterminant:
@@ -422,70 +444,6 @@ class TestSmith:
             assert product == minor_gcd(R, k)
 
 
-class TestInversion:
-    def test_scalar(self):
-        inv = invert_ratmatrix(PolyMatrix([[S]]))
-        assert inv == RatMatrix([[RatFunc(ONE, S)]])
-
-    def test_identity(self):
-        assert invert_ratmatrix(PolyMatrix.identity(3)) == RatMatrix.identity(3)
-
-    def test_singular(self):
-        with pytest.raises(SingularMatrixError):
-            invert_ratmatrix(PolyMatrix([[S, S], [S, S]]))
-
-    def test_non_square(self):
-        with pytest.raises(DimensionError):
-            invert_ratmatrix(PolyMatrix([[S, 1]]))
-
-    def test_random_unimodular_roundtrip(self):
-        rng = random.Random(3)
-        for _ in range(15):
-            n = rng.randint(1, 3)
-            U = random_unimodular(rng, n)
-            assert invert_ratmatrix(U) * U == RatMatrix.identity(n)
-
-    def test_general_inverse(self):
-        rng = random.Random(5)
-        count = 0
-        while count < 10:
-            n = rng.randint(1, 3)
-            M = random_matrix(rng, n, n, 2)
-            if determinant(M).is_zero:
-                continue
-            assert (invert_ratmatrix(M) * M) == RatMatrix.identity(n)
-            count += 1
-
-
-@st.composite
-def product_pairs(draw):
-    """(A, B) of shapes m x k and k x n, each of m, k, n from 0 to 3."""
-    m, k, n = (draw(st.integers(min_value=0, max_value=3)) for _ in range(3))
-    return draw(poly_matrices(m, k)), draw(poly_matrices(k, n))
-
-
-class TestRatMatrix:
-    @settings(deadline=None)
-    @given(product_pairs())
-    def test_product_agrees_across_rings(self, pair):
-        A, B = pair
-        assert RatMatrix.from_polymatrix(A) * B == RatMatrix.from_polymatrix(A * B)
-
-    def test_shape_checks(self):
-        with pytest.raises(DimensionError):
-            RatMatrix([[1, S]], cols=3)
-        with pytest.raises(DimensionError):
-            RatMatrix([], cols=-1)
-        with pytest.raises(DimensionError):
-            RatMatrix.identity(2) + RatMatrix.identity(3)
-
-    def test_never_equals_polymatrix(self):
-        assert PolyMatrix.identity(2) != RatMatrix.identity(2)
-        assert RatMatrix.identity(2) != PolyMatrix.identity(2)
-        assert RatMatrix.identity(2) == RatMatrix.from_polymatrix(PolyMatrix.identity(2))
-        assert repr(RatMatrix([[RatFunc(ONE, S)]])) == "RatMatrix([[(1)/(s)]])"
-
-
 class TestProper:
     def test_integrator(self):
         assert is_proper(PolyMatrix([[S]]), PolyMatrix([[ONE]]))
@@ -497,17 +455,26 @@ class TestProper:
         with pytest.raises(SingularMatrixError):
             is_proper(PolyMatrix([[ZERO]]), PolyMatrix([[ONE]]))
 
+    def test_non_square_p(self):
+        with pytest.raises(DimensionError, match="needs a square P, got 1x2"):
+            is_proper(PolyMatrix([[S, ONE]]), PolyMatrix([[ONE]]))
+
     @staticmethod
     def check_against_inversion(P, Q):
-        # The oracle forms P^-1 Q over Q(s) and tests each entry.
-        try:
-            inverse = invert_ratmatrix(P)
-        except SingularMatrixError:
+        # Cramer's rule: entry (i, j) of P^-1 Q is det(P with column i
+        # replaced by column j of Q) / det P; both determinants by cofactors.
+        det = det_cofactor(P)
+        if det.is_zero:
             with pytest.raises(SingularMatrixError):
                 is_proper(P, Q)
             return
-        want = all(e.is_proper for row in (inverse * Q).entries for e in row)
-        assert is_proper(P, Q) == want
+        n = P.rows
+        numerators = (
+            det_cofactor(PolyMatrix([[Q[r, j] if c == i else P[r, c] for c in range(n)]
+                                     for r in range(n)], cols=n))
+            for i in range(n) for j in range(Q.cols)
+        )
+        assert is_proper(P, Q) == all(e.degree <= det.degree for e in numerators)
 
     @settings(deadline=None)
     @given(proper_instances())
