@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from agverify.polyalg import ONE, S, ZERO, Poly, poly_gcd
+from agverify.polyalg import ONE, S, ZERO, Poly, RatFunc, poly_gcd
 from agverify.polymatrix import (
     DimensionError,
     PolyMatrix,
@@ -174,10 +174,6 @@ class TestArithmetic:
             PolyMatrix([[S]]) + PolyMatrix([[S, 1]])
         with pytest.raises(DimensionError):
             PolyMatrix([[S, 1]]) * PolyMatrix([[S, 1]])
-        with pytest.raises(DimensionError):
-            PolyMatrix([[1, S]], cols=3)
-        with pytest.raises(DimensionError):
-            PolyMatrix([], cols=-1)
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(DimensionError):
@@ -442,6 +438,20 @@ class TestSmith:
         for k, d in enumerate(factors, 1):
             product = product * d
             assert product == minor_gcd(R, k)
+
+
+class TestRatMatrix:
+    """There is no matrix over Q(s): PolyMatrix is the one matrix container."""
+
+    def test_shape_checks(self):
+        with pytest.raises(DimensionError):
+            PolyMatrix([[1, S]], cols=3)
+        with pytest.raises(DimensionError):
+            PolyMatrix([], cols=-1)
+        with pytest.raises(DimensionError):
+            PolyMatrix.identity(2) + PolyMatrix.identity(3)
+        with pytest.raises(TypeError, match="polynomial entry expected"):
+            PolyMatrix([[RatFunc(ONE, S)]])
 
 
 class TestProper:
