@@ -7,9 +7,6 @@ contract calculus (compatibility, implementation, refinement, conjunction)
 and a text format plus CLI for driving the checks.
 """
 
-from importlib import resources as _resources
-from pathlib import Path
-
 from .behavior import (
     InclusionWitness,
     IoSystem,
@@ -71,6 +68,10 @@ from .polymatrix import (
 __version__ = "0.1.0"
 
 
-def corpus_dir() -> Path:
-    """Directory holding the bundled quarter-car example corpus."""
-    return Path(str(_resources.files("agverify") / "corpus" / "quartercar"))
+def corpus_dir():
+    """Directory holding the bundled quarter-car example corpus, as a
+    `pathlib.Path`."""
+    from importlib import resources
+    from pathlib import Path
+
+    return Path(str(resources.files("agverify") / "corpus" / "quartercar"))

@@ -23,11 +23,11 @@ function is ever formed.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
 
 from .polyalg import Poly, Scalar, _frac, _poly
 from .polymatrix import (

@@ -20,9 +20,9 @@ import functools
 import json
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from .behavior import (
     InclusionWitness,
@@ -37,8 +37,6 @@ from .behavior import (
     statespace_to_io,
     statespace_to_kernel,
 )
-# `behavior_included`, `env_compatible`, `implements` and `refines` are called by
-# name through `_decision`.
 from .contracts import Contract, IoFormError, conjunction, env_compatible, implements, refines
 from .docparse import (
     Definition,
@@ -187,13 +185,6 @@ def _conjoin(report: Report, args, doc, c1: Contract, c2: Contract) -> None:
     report.details = details
 
 
-def _decision(name: str):
-    """Handler of a decision command: the verdict of the module-level
-    function ``name`` on the looked-up values. The function is looked up when
-    the command runs, so a replacement of it takes effect."""
-    return lambda report, args, doc, *values: globals()[name](*values)
-
-
 _KERNEL = ("kernel",)
 _CONTRACT = ("contract",)
 _SYSTEM = ("statespace", "iosystem")
@@ -202,7 +193,9 @@ _SYSTEM = ("statespace", "iosystem")
 # each may name (None passes the argument through as given), and its handler.
 # A handler gets the report to fill in, the parsed arguments, the document
 # and one value per positional; it returns the verdict of a decision, or
-# None when the command only produces output.
+# None when the command only produces output. A decision's lambda reads the
+# module-level name of its function at each call, so a replacement of that
+# name takes effect.
 _COMMANDS = {
     "check-io": ("validate (or derive) the input-output form of a system",
                  [("system", _SYSTEM)], _check_io),
@@ -211,13 +204,17 @@ _COMMANDS = {
     "smith": ("print the Smith form of a kernel's matrix or a matrix literal",
               [("matrix", None)], _smith),
     "include": ("decide kernel-behavior inclusion of R1 in R2",
-                [("r1", _KERNEL), ("r2", _KERNEL)], _decision("behavior_included")),
+                [("r1", _KERNEL), ("r2", _KERNEL)],
+                lambda r, a, d, *v: behavior_included(*v)),
     "implements": ("decide whether a system implements a contract",
-                   [("system", _SYSTEM), ("contract", _CONTRACT)], _decision("implements")),
+                   [("system", _SYSTEM), ("contract", _CONTRACT)],
+                   lambda r, a, d, *v: implements(*v)),
     "compatible": ("decide whether an environment is compatible with a contract",
-                   [("env", _KERNEL), ("contract", _CONTRACT)], _decision("env_compatible")),
+                   [("env", _KERNEL), ("contract", _CONTRACT)],
+                   lambda r, a, d, *v: env_compatible(*v)),
     "refines": ("decide whether contract C1 refines contract C2",
-                [("c1", _CONTRACT), ("c2", _CONTRACT)], _decision("refines")),
+                [("c1", _CONTRACT), ("c2", _CONTRACT)],
+                lambda r, a, d, *v: refines(*v)),
     "conjoin": ("compute the conjunction of two contracts",
                 [("c1", _CONTRACT), ("c2", _CONTRACT)], _conjoin),
 }

@@ -16,21 +16,32 @@ Grammar (EBNF sketch, ``#`` starts a line comment):
     term       := coef "*" "s" ["^" INT] | "s" ["^" INT] | coef
     coef       := INT | INT "/" INT
 
-An INT is a run of the ASCII digits 0-9. The exponent after "^" is at most
-`MAX_EXPONENT`, an integer has at most `MAX_DIGITS` digits, the dimensions
-of a varlist add up to at most `MAX_DIMENSION`, and the matrix A of a
-statespace has at most `MAX_DIMENSION` rows. In a statespace a matrix
-written ``[]`` is empty and takes the shape the others imply
-(`StateSpace.from_lists`), so ``A [] B [] C [] D [[2, 1]]`` is a memoryless
-system. Coefficients are kept as exact rationals. Everything the toolkit
+A NAME starts with a character for which `str.isalpha()` holds, or "_", and
+goes on with characters for which `str.isalnum()` holds, or "_" (the word
+characters of `re`). An INT is a run of the ASCII digits 0-9. Tabs and
+carriage returns are one column each.
+
+The exponent after "^" is at most `MAX_EXPONENT`, an integer has at most
+`MAX_DIGITS` digits, and the dimensions of a varlist add up to at most
+`MAX_DIMENSION`. The matrix A of a statespace and the matrix R of a kernel
+have at most `MAX_DIMENSION` rows, and a bare matrix literal
+(`parse_matrix_text`) at most `MAX_DIMENSION` rows and columns.
+
+In a statespace a matrix written ``[]`` is empty and takes the shape the
+others imply (`StateSpace.from_lists`), so ``A [] B [] C [] D [[2, 1]]`` is
+a memoryless system. In an iosystem ``Q []`` has the rows of P and no
+columns: a system without inputs. A matrix without columns prints as
+``[]``. Coefficients are kept as exact rationals. Everything the toolkit
 prints (witness matrices, eliminated kernels, conjoined contracts) uses this
 same grammar, so outputs can be fed back in as inputs.
 """
 
 from __future__ import annotations
 
+import re
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .behavior import IoSystem, KernelRep, LatentRep, StateSpace
@@ -50,11 +61,13 @@ MAX_EXPONENT = 1000
 # lower, that limit applies instead.
 MAX_DIGITS = 4300
 
-# Largest total dimension of the signals in a ``vars`` list, and largest
-# state dimension of a ``statespace``. Several steps build an identity of
-# the signal dimension, and state elimination scans up to n rows of n
-# entries, so time and memory grow at least with the square of either; a
-# larger total or state dimension is a `ParseError`.
+# Largest total dimension of the signals in a ``vars`` list, largest state
+# dimension of a ``statespace``, largest row count of a kernel's R, and
+# largest row or column count of a bare matrix literal. Several steps build
+# an identity of the signal dimension, state elimination scans up to n rows
+# of n entries, and the Smith form and inclusion reduce every row and column
+# of a kernel, so time and memory grow at least with the square of each of
+# these; a larger one is a `ParseError`.
 MAX_DIMENSION = 100
 
 
@@ -124,72 +137,40 @@ class Document:
 # Lexer
 # --------------------------------------------------------------------------
 
-_SYMBOLS = {
-    "{": "LBRACE",
-    "}": "RBRACE",
-    "[": "LBRACKET",
-    "]": "RBRACKET",
-    ",": "COMMA",
-    ":": "COLON",
-    "+": "PLUS",
-    "-": "MINUS",
-    "*": "STAR",
-    "^": "CARET",
-    "/": "SLASH",
-}
+# A symbol's kind is its own text. The EOF token's text is what error
+# messages show for it.
+Token = namedtuple("Token", "kind text line col")
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+# Blanks and comments match no group. `\w` holds exactly where `str.isalnum()`
+# holds, or for "_"; it also takes digits such as "²" that may not start a
+# name, so `_tokenize` checks a NAME's first character.
+_TOKEN = re.compile(
+    r"(?P<NL>\n)|[ \t\r]+|#.*|(?P<INT>[0-9]+)|(?P<NAME>\w+)"
+    r"|(?P<SYMBOL>[][{},:+\-*^/])|(?P<BAD>.)"
+)
 
 
 def _tokenize(text: str, source: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    tokens = []
+    line, start = 1, 0  # the current line and the offset where it starts
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        tok, col = m.group(), m.start() - start + 1
+        if kind == "NL":
+            line, start = line + 1, m.end()
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(Token(_SYMBOLS[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", source, line, col)
-    tokens.append(Token("EOF", "", line, col))
+        if kind == "SYMBOL":
+            kind = tok
+        elif kind == "BAD" or kind == "NAME" and not (tok[0].isalpha() or tok[0] == "_"):
+            raise ParseError(f"unexpected character {tok[0]!r}", source, line, col)
+        tokens.append(Token(kind, tok, line, col))
+    # A comment does not advance the column, so the end of a last line that
+    # holds one is at its "#".
+    end = text.find("#", start)
+    end = len(text) if end < 0 else end
+    tokens.append(Token("EOF", "end of input", line, end - start + 1))
     return tokens
 
 
@@ -199,8 +180,8 @@ def _tokenize(text: str, source: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], source: str):
-        self.tokens = tokens
+    def __init__(self, text: str, source: str):
+        self.tokens = _tokenize(text, source)
         self.pos = 0
         self.source = source
 
@@ -212,23 +193,31 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def accept(self, text: str) -> bool:
+        """Step over the next token if it reads `text`: a symbol, or ``s``."""
+        if self.tokens[self.pos].text != text:
+            return False
+        self.pos += 1
+        return True
+
     def error(self, message: str, tok: Token | None = None) -> ParseError:
         tok = tok or self.peek()
         return ParseError(message, self.source, tok.line, tok.col)
 
     def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            shown = tok.text if tok.kind != "EOF" else "end of input"
-            raise self.error(f"expected {what or kind}, found {shown!r}")
+        if self.peek().kind != kind:
+            raise self.error(f"expected {what or repr(kind)}, found {self.peek().text!r}")
         return self.next()
 
     def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "NAME" or tok.text != word:
-            shown = tok.text if tok.kind != "EOF" else "end of input"
-            raise self.error(f"expected '{word}', found {shown!r}")
+        # Only a NAME token reads as a word.
+        if self.peek().text != word:
+            raise self.error(f"expected '{word}', found {self.peek().text!r}")
         return self.next()
+
+    def cap(self, what: str, size: int, tok: Token) -> None:
+        if size > MAX_DIMENSION:
+            raise self.error(f"{what} {size} is above the maximum {MAX_DIMENSION}", tok)
 
     # -- polynomial / matrix ------------------------------------------------
 
@@ -243,146 +232,108 @@ class _Parser:
     def parse_coef(self) -> int | Fraction:
         """An integer, or a `Fraction` when written ``a/b``."""
         num = self.parse_int()
-        if self.peek().kind == "SLASH":
-            self.next()
-            den_tok = self.peek()
-            den = self.parse_int()
-            if den == 0:
-                raise self.error("zero denominator", den_tok)
-            return Fraction(num, den)
-        return num
+        if not self.accept("/"):
+            return num
+        tok = self.peek()
+        if (den := self.parse_int()) == 0:
+            raise self.error("zero denominator", tok)
+        return Fraction(num, den)
 
     def parse_term(self) -> tuple[int | Fraction, int]:
         """One monomial: returns (coefficient, power)."""
-        tok = self.peek()
-        if tok.kind == "INT":
+        if self.peek().kind == "INT":
             coef = self.parse_coef()
-            if self.peek().kind == "STAR":
-                self.next()
-                self.expect_keyword("s")
-                return coef, self.parse_power()
-            return coef, 0
-        if tok.kind == "NAME" and tok.text == "s":
-            self.next()
-            return 1, self.parse_power()
-        shown = tok.text if tok.kind != "EOF" else "end of input"
-        raise self.error(f"expected a polynomial term, found {shown!r}")
+            if not self.accept("*"):
+                return coef, 0
+            self.expect_keyword("s")
+        elif self.accept("s"):
+            coef = 1
+        else:
+            raise self.error(f"expected a polynomial term, found {self.peek().text!r}")
+        return coef, self.parse_power()
 
     def parse_power(self) -> int:
-        if self.peek().kind == "CARET":
-            self.next()
-            tok = self.peek()
-            power = self.parse_int()
-            if power > MAX_EXPONENT:
-                raise self.error(f"exponent {power} exceeds the maximum {MAX_EXPONENT}", tok)
-            return power
-        return 1
+        if not self.accept("^"):
+            return 1
+        tok = self.peek()
+        if (power := self.parse_int()) > MAX_EXPONENT:
+            raise self.error(f"exponent {power} exceeds the maximum {MAX_EXPONENT}", tok)
+        return power
 
     def parse_poly(self) -> Poly:
         coeffs: dict[int, int | Fraction] = {}
-        sign = 1
-        if self.peek().kind == "MINUS":
-            self.next()
-            sign = -1
-        elif self.peek().kind == "PLUS":
-            self.next()
+        sign = -1 if self.accept("-") else 1
+        if sign == 1:
+            self.accept("+")
         while True:
             coef, power = self.parse_term()
             coeffs[power] = coeffs.get(power, 0) + sign * coef
-            tok = self.peek()
-            if tok.kind == "PLUS":
+            if self.accept("+"):
                 sign = 1
-                self.next()
-            elif tok.kind == "MINUS":
+            elif self.accept("-"):
                 sign = -1
-                self.next()
             else:
-                break
-        top = max(coeffs) if coeffs else -1
-        return Poly([coeffs.get(k, 0) for k in range(top + 1)])
+                return Poly([coeffs.get(k, 0) for k in range(max(coeffs) + 1)])
 
     def parse_matrix(self) -> list[list[Poly]]:
-        self.expect("LBRACKET", "'['")
-        rows: list[list[Poly]] = []
-        if self.peek().kind == "RBRACKET":
-            self.next()
-            return rows
-        while True:
+        self.expect("[")
+        if self.accept("]"):
+            return []
+        rows = [self.parse_row()]
+        while self.accept(","):
             rows.append(self.parse_row())
-            if self.peek().kind == "COMMA":
-                self.next()
-                continue
-            break
-        self.expect("RBRACKET", "']'")
+        self.expect("]")
         return rows
 
     def parse_row(self) -> list[Poly]:
-        self.expect("LBRACKET", "'['")
+        self.expect("[")
         row = [self.parse_poly()]
-        while self.peek().kind == "COMMA":
-            self.next()
+        while self.accept(","):
             row.append(self.parse_poly())
-        self.expect("RBRACKET", "']'")
+        self.expect("]")
         return row
 
     def parse_varlist(self) -> list[tuple[str, int]]:
-        out = []
-        total = 0
+        labels, total = [], 0
         while True:
-            name_tok = self.expect("NAME", "a signal name")
-            self.expect("COLON", "':'")
-            dim_tok = self.peek()
+            name = self.expect("NAME", "a signal name").text
+            self.expect(":")
+            tok = self.peek()
             dim = self.parse_int()
             if dim < 1:
-                raise self.error("signal dimension must be at least 1", dim_tok)
+                raise self.error("signal dimension must be at least 1", tok)
             total += dim
             if total > MAX_DIMENSION:
                 raise self.error(
-                    f"signal dimensions add up to {total}, above the maximum {MAX_DIMENSION}",
-                    dim_tok,
+                    f"signal dimensions add up to {total}, above the maximum {MAX_DIMENSION}", tok
                 )
-            out.append((name_tok.text, dim))
-            if self.peek().kind == "COMMA":
-                self.next()
-                continue
-            break
-        return out
+            labels.append((name, dim))
+            if not self.accept(","):
+                return labels
 
     # -- definitions -----------------------------------------------------------
 
     def parse_definition(self) -> Definition:
         kind_tok = self.expect("NAME", "a definition kind")
         kind = kind_tok.text
-        if kind not in ("statespace", "iosystem", "kernel", "latent", "contract"):
+        body = getattr(self, f"parse_{kind}_body", None)
+        if body is None:
             raise self.error(f"unknown definition kind '{kind}'", kind_tok)
         name_tok = self.expect("NAME", "a definition name")
-        self.expect("LBRACE", "'{'")
+        self.expect("{")
         try:
-            if kind == "statespace":
-                value, refs = self.parse_statespace_body(), ()
-            elif kind == "iosystem":
-                value, refs = self.parse_iosystem_body(), ()
-            elif kind == "kernel":
-                value, refs = self.parse_kernel_body(), ()
-            elif kind == "latent":
-                value, refs = self.parse_latent_body(), ()
-            else:
-                value, refs = None, self.parse_contract_body()
+            value = body()
+        except DocumentError:
+            raise
         except (ValueError, TypeError) as exc:
-            if isinstance(exc, DocumentError):
-                raise
             raise DimensionInconsistencyError(
                 f"{self.source}:{name_tok.line}: in {kind} '{name_tok.text}': {exc}"
             ) from exc
-        self.expect("RBRACE", "'}'")
-        return Definition(
-            kind=kind,
-            name=name_tok.text,
-            value=value,
-            refs=refs,
-            source=self.source,
-            line=name_tok.line,
-        )
+        self.expect("}")
+        # A contract holds the names of its kernels until `parse_documents`
+        # resolves them.
+        refs = value if kind == "contract" else ()
+        return Definition(kind, name_tok.text, value, refs, self.source, name_tok.line)
 
     def field_matrix(self, keyword: str, cols: int | None = None) -> PolyMatrix:
         self.expect_keyword(keyword)
@@ -398,36 +349,32 @@ class _Parser:
     def parse_statespace_body(self) -> StateSpace:
         tok = self.peek()
         A = self.field_matrix("A")
-        if A.rows > MAX_DIMENSION:
-            raise self.error(
-                f"state dimension {A.rows} is above the maximum {MAX_DIMENSION}", tok
-            )
-        B = self.field_matrix("B")
-        C = self.field_matrix("C")
-        D = self.field_matrix("D")
+        self.cap("state dimension", A.rows, tok)
+        B, C, D = (self.field_matrix(keyword) for keyword in "BCD")
         return StateSpace.from_lists(A.entries, B.entries, C.entries, D.entries)
 
     def parse_iosystem_body(self) -> IoSystem:
         P = self.field_matrix("P")
         Q = self.field_matrix("Q")
-        return IoSystem(P, Q)
+        # Written ``[]``, Q has P's rows and no columns: a system without inputs.
+        return IoSystem(P, Q if Q.rows else PolyMatrix([()] * P.rows, cols=0))
 
     def parse_kernel_body(self) -> KernelRep:
         self.expect_keyword("vars")
         labels = self.parse_varlist()
-        dim = sum(d for _, d in labels)
-        R = self.field_matrix("R", cols=dim)
+        tok = self.peek()
+        R = self.field_matrix("R", cols=sum(d for _, d in labels))
+        self.cap("kernel row count", R.rows, tok)
         return KernelRep(R, labels)
 
     def parse_latent_body(self) -> LatentRep:
         self.expect_keyword("vars")
         labels = self.parse_varlist()
-        dim = sum(d for _, d in labels)
         self.expect_keyword("latent")
         latent = self.expect("NAME", "a latent signal name").text
-        self.expect("COLON", "':'")
+        self.expect(":")
         latent_dim = self.parse_int()
-        R = self.field_matrix("R", cols=dim)
+        R = self.field_matrix("R", cols=sum(d for _, d in labels))
         E = self.field_matrix("E", cols=latent_dim)
         if E.cols != latent_dim:
             raise ValueError(f"matrix E has {E.cols} columns but {latent}:{latent_dim} is declared")
@@ -464,8 +411,7 @@ def parse_documents(sources: list[tuple[str, str]]) -> Document:
     """
     all_defs: list[Definition] = []
     for source, text in sources:
-        parser = _Parser(_tokenize(text, source), source)
-        all_defs.extend(parser.parse_document())
+        all_defs.extend(_Parser(text, source).parse_document())
 
     errors: list[DocumentError] = []
     doc = Document()
@@ -505,14 +451,7 @@ def parse_documents(sources: list[tuple[str, str]]) -> Document:
             else:
                 resolved.append(target.value)
         if len(resolved) == 2:
-            doc.definitions[d.name] = Definition(
-                kind="contract",
-                name=d.name,
-                value=Contract(resolved[0], resolved[1]),
-                refs=d.refs,
-                source=d.source,
-                line=d.line,
-            )
+            doc.definitions[d.name] = replace(d, value=Contract(*resolved))
 
     if errors:
         raise DocumentValidationError(errors)
@@ -590,11 +529,13 @@ def matrix_coeffs(M: PolyMatrix) -> list[list[list[str]]]:
 
 def parse_matrix_text(text: str, source: str = "<matrix>") -> PolyMatrix:
     """Parse a bare matrix literal such as ``[[s^2+1, -s], [0, 1]]``."""
-    parser = _Parser(_tokenize(text, source), source)
+    parser = _Parser(text, source)
     rows = parser.parse_matrix()
     parser.expect("EOF", "end of input")
     if not rows:
         raise DimensionInconsistencyError(
             f"{source}: empty matrix literal has unknown column count"
         )
+    parser.cap("matrix row count", len(rows), parser.tokens[0])
+    parser.cap("matrix column count", len(rows[0]), parser.tokens[0])
     return PolyMatrix(rows)

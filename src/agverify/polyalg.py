@@ -28,11 +28,11 @@ exactness guarantee.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence, Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 NEG_INF = float("-inf")
 

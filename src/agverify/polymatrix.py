@@ -23,10 +23,10 @@ Gauss-Jordan passes.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
 from .polyalg import ONE, ZERO, Poly, _as_poly, _poly, _pseudo_divmod
 
@@ -194,6 +194,10 @@ class PolyMatrix:
         return hash((self.rows, self.cols, self.entries))
 
     def __str__(self) -> str:
+        # The text format has no empty row, so a matrix without columns
+        # prints as `[]`.
+        if not self.cols:
+            return "[]"
         return "[" + ", ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries) + "]"
 
     def __repr__(self) -> str:

@@ -102,6 +102,22 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert f"{over}:2:4: integer of {MAX_DIGITS + 1} digits exceeds the maximum" in err
 
+    def test_matrix_size_cap_is_two(self, capsys, tmp_path):
+        over = MAX_DIMENSION + 1
+        tall = tmp_path / "tall.ag"
+        tall.write_text("kernel T { vars y:1 R [" + ", ".join(["[s + 1]"] * over) + "] }")
+        code, out, err = run(capsys, "include", "T", "T", str(tall))
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: {tall}:1:21: kernel row count {over} is above the maximum {MAX_DIMENSION}\n"
+        )
+        wide = "[[" + ", ".join(["1"] * over) + "]]"
+        code, out, err = run(capsys, "smith", wide, *CORPUS)
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: <matrix>:1:1: matrix column count {over} is above the maximum {MAX_DIMENSION}\n"
+        )
+
     def test_parse_error_is_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.ag"
         bad.write_text("kernel K { vars y:1 R [[s^2+, 1]] }")
@@ -259,6 +275,20 @@ class TestCommands:
         code, out, _ = run(capsys, "check-io", "M", str(f))
         assert code == 0
         assert "\nP: [[1]]\nQ: [[2, 1]]\n" in out
+
+    def test_check_io_without_inputs_round_trip(self, capsys, tmp_path):
+        # Q without columns prints as [] and reads back with P's rows.
+        f = tmp_path / "n.ag"
+        f.write_text("statespace N { A [[0]] B [] C [[1]] D [] }")
+        code, out, _ = run(capsys, "check-io", "N", str(f))
+        assert code == 0 and "\nP: [[s]]\nQ: []\n" in out
+        P, Q = (line.split(": ", 1)[1] for line in out.splitlines()[2:4])
+        g = tmp_path / "n2.ag"
+        g.write_text(f"iosystem N2 {{ P {P} Q {Q} }}")
+        code, out, _ = run(capsys, "check-io", "N2", str(g))
+        assert code == 0 and "\nP: [[s]]\nQ: []\n" in out
+        Q = parse_documents([("n2", g.read_text())]).get("N2").value.Q
+        assert (Q.rows, Q.cols) == (1, 0)
 
     def test_check_io_rejects_non_io(self, capsys, tmp_path):
         f = tmp_path / "d.ag"

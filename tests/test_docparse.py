@@ -1,7 +1,9 @@
 """Text format: lexing, parsing, validation, serialization round trips."""
 
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,6 +116,27 @@ class TestPolyParsing:
         with pytest.raises(ParseError) as exc:
             parse_document(text)
         assert f":1:{col}: unexpected character '\u00b2'" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "text, name, error",
+        [
+            ("kernel K { vars y:\u0663 R [[s]] }", None, ":1:19: unexpected character '\u0663'"),
+            ("kernel \u00e9t\u00e9 { vars y:1 R [[s]] }", "\u00e9t\u00e9", None),
+            ("kernel K2\u00b2 { vars y:1 R [[s]] }", "K2\u00b2", None),
+            ("kernel K {\r vars y:1 R [[s]] $ }", None, ":1:30: unexpected character '$'"),
+            ("kernel K {\t\tvars y:1 R [[s]] } #x\n%", None, ":2:1: unexpected character '%'"),
+            ("kernel K { vars y:1 R [[s]] # x", None, ":1:29: expected '}', found 'end of input'"),
+        ],
+    )
+    def test_tokenizer_edge_cases(self, text, name, error):
+        # A name may go on with any digit but start with none; tabs and \r are
+        # one column each, and a comment does not advance the column.
+        if error is None:
+            assert list(parse_document(text).definitions) == [name]
+            return
+        with pytest.raises(ParseError) as exc:
+            parse_document(text)
+        assert error in str(exc.value)
 
     def test_zero_denominator(self):
         with pytest.raises(ParseError):
@@ -229,6 +252,28 @@ class TestDefinitions:
                 parse_document(source)
             assert f":2:{col}: signal dimensions add up to {MAX_DIMENSION + 1}" in str(exc.value)
 
+    def test_matrix_size_caps(self):
+        def rows(n):
+            return "[" + ", ".join(["[s]"] * n) + "]"
+
+        def kernel(n):
+            return f"kernel K {{\n vars y:1\n R {rows(n)} }}"
+
+        assert parse_document(kernel(MAX_DIMENSION)).get("K").value.R.rows == MAX_DIMENSION
+        assert parse_matrix_text(rows(MAX_DIMENSION)).rows == MAX_DIMENSION
+        wide = "[[" + ", ".join(["1"] * MAX_DIMENSION) + "]]"
+        assert parse_matrix_text(wide).cols == MAX_DIMENSION
+        over = MAX_DIMENSION + 1
+        for parse, text, message in [
+            (parse_document, kernel(over), f":3:2: kernel row count {over} is above the maximum"),
+            (parse_matrix_text, " " + rows(over), f":1:2: matrix row count {over} is above the maximum"),
+            (parse_matrix_text, wide.replace("1", "1, 1", 1),
+             f":1:1: matrix column count {over} is above the maximum"),
+        ]:
+            with pytest.raises(ParseError) as exc:
+                parse(text)
+            assert message in str(exc.value)
+
     def test_comments_skipped(self):
         doc = parse_document("# heading\nkernel K { vars y:1 R [[s]] } # tail")
         assert "K" in doc.definitions
@@ -341,3 +386,18 @@ class TestMachineReadable:
             [[Poly([Fraction(c) for c in entry]) for entry in row] for row in coeffs]
         )
         assert rebuilt == m
+
+
+def test_import_loads_no_unused_modules():
+    # Each CLI call starts a fresh interpreter; importing the package and its
+    # text front end should load only what they use. `-S` skips site hooks,
+    # which may import these modules on their own.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import agverify, agverify.docparse; "
+        "print(sorted({'typing', 'importlib.resources', 'pathlib', 'tempfile'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
