@@ -24,7 +24,7 @@ function is ever formed.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -36,9 +36,9 @@ from .polymatrix import (
     SelfCheckError,
     SingularMatrixError,
     _fraction_free,
-    determinant,
     hstack,
     is_proper,
+    rank_generic,
     row_echelon,
     # No decision here uses it; perfbench/test_instances.py::
     # test_tracer_restores_every_original expects to find it in this module.
@@ -259,22 +259,16 @@ class Verdict:
         return self.holds
 
     @classmethod
-    def combine(cls, *sides: tuple[str, str, "Verdict"]) -> "Verdict":
-        """Conjunction of (label, diagnostic prefix, verdict) sides.
+    def combine(cls, *sides: tuple[str, "Verdict"]) -> "Verdict":
+        """Conjunction of (diagnostic prefix, verdict) sides.
 
-        Holds iff every side holds, and then carries each side's witnesses
-        relabeled with its label. Otherwise it carries no witness, and every
+        Holds iff every side holds, and then carries every side's witnesses as
+        they are, labels included. Otherwise it carries no witness, and every
         diagnostic of a failing side, behind that side's prefix.
         """
-        holds = all(v.holds for _, _, v in sides)
-        witnesses = (
-            tuple(replace(w, label=label) for label, _, v in sides for w in v.witnesses)
-            if holds
-            else ()
-        )
-        diagnostics = tuple(
-            prefix + d for _, prefix, v in sides if not v.holds for d in v.diagnostics
-        )
+        holds = all(v.holds for _, v in sides)
+        witnesses = tuple(w for _, v in sides for w in v.witnesses) if holds else ()
+        diagnostics = tuple(prefix + d for prefix, v in sides if not v.holds for d in v.diagnostics)
         return cls(holds, witnesses, diagnostics)
 
     def witness(self, label: str) -> InclusionWitness:
@@ -460,7 +454,7 @@ def _left_quotient(src: Sequence[Sequence[Poly]], target: PolyMatrix) -> PolyMat
     """
     r, n = len(src), target.cols
     g = [[row[j] for row in src] + [row[j] for row in target.entries] for j in range(n)]
-    rank, _, d, right, order = _fraction_free(g, r, jordan=True)
+    rank, _, d, right, order = _fraction_free(g, r)
     if rank < r:
         return None
     for row, j in zip(right[r:], order[r:]):
@@ -485,8 +479,9 @@ def _left_quotient(src: Sequence[Sequence[Poly]], target: PolyMatrix) -> PolyMat
     return PolyMatrix(M, cols=r)
 
 
-def behavior_included(r1: KernelRep, r2: KernelRep) -> Verdict:
-    """Decide ker r1 contained-in ker r2, with a multiplier certificate.
+def behavior_included(r1: KernelRep, r2: KernelRep, label: str = "inclusion") -> Verdict:
+    """Decide ker r1 contained-in ker r2, with a multiplier certificate
+    carrying ``label``.
 
     Inclusion holds iff r2.R factors as M * r1.R for a polynomial M. When
     r1.R has full row rank, M is unique and one fraction-free pass solves for
@@ -514,15 +509,15 @@ def behavior_included(r1: KernelRep, r2: KernelRep) -> Verdict:
             M = M * PolyMatrix([row[n:] for row in a[:rank]], cols=m)
     if isinstance(M, str):
         return Verdict(holds=False, diagnostics=(M,))
-    witness = InclusionWitness(multiplier=M, source=r1.R, target=r2.R, label="inclusion")
+    witness = InclusionWitness(multiplier=M, source=r1.R, target=r2.R, label=label)
     return Verdict(holds=True, witnesses=(witness,))
 
 
 def behavior_equal(r1: KernelRep, r2: KernelRep) -> Verdict:
     """Mutual inclusion; carries one witness per direction."""
     return Verdict.combine(
-        ("forward", "forward inclusion fails: ", behavior_included(r1, r2)),
-        ("backward", "backward inclusion fails: ", behavior_included(r2, r1)),
+        ("forward inclusion fails: ", behavior_included(r1, r2, "forward")),
+        ("backward inclusion fails: ", behavior_included(r2, r1, "backward")),
     )
 
 
@@ -544,10 +539,9 @@ def interconnect(env: KernelRep, sys: IoSystem) -> KernelRep:
 
 
 def is_autonomous(r: KernelRep) -> bool:
-    """True iff the behavior leaves no signal free: its minimal representation
-    is square with nonzero determinant."""
-    mk = minimal_kernel(r)
-    return mk.R.is_square and not determinant(mk.R).is_zero
+    """True iff the behavior leaves no signal free: R has full generic column
+    rank, so a minimal representation is square with nonzero determinant."""
+    return rank_generic(r.R) == r.dim
 
 
 def exp_membership(r: KernelRep, lam: Scalar, w0: Sequence[Scalar]) -> bool:

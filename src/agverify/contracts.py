@@ -44,14 +44,11 @@ class IoFormError(ValueError):
 @dataclass(frozen=True, slots=True)
 class Contract:
     """Pair of assumptions (over the input signals) and guarantees (over the
-    output signals); both are stored minimized."""
+    output signals), stored as given: every operation here accepts any kernel
+    matrix, so witnesses multiply the contract's matrices as written."""
 
     assumptions: KernelRep
     guarantees: KernelRep
-
-    def __post_init__(self):
-        object.__setattr__(self, "assumptions", minimal_kernel(self.assumptions))
-        object.__setattr__(self, "guarantees", minimal_kernel(self.guarantees))
 
     @property
     def input_dim(self) -> int:
@@ -61,13 +58,10 @@ class Contract:
     def output_dim(self) -> int:
         return self.guarantees.dim
 
-    def __repr__(self) -> str:
-        return f"Contract(assumptions={self.assumptions!r}, guarantees={self.guarantees!r})"
-
 
 def env_compatible(env: KernelRep, c: Contract) -> Verdict:
     """Is every input produced by env admitted by the contract's assumptions?"""
-    return Verdict.combine(("assumptions", "", behavior_included(env, c.assumptions)))
+    return behavior_included(env, c.assumptions, "assumptions")
 
 
 def implements(sys: IoSystem | StateSpace, c: Contract) -> Verdict:
@@ -87,8 +81,8 @@ def implements(sys: IoSystem | StateSpace, c: Contract) -> Verdict:
             f"{c.input_dim}-input {c.output_dim}-output"
         )
     constrained = interconnect(c.assumptions, sys)
-    verdict = behavior_included(constrained, c.guarantees.with_signal_labels(constrained.signal_labels))
-    return Verdict.combine(("guarantees", "", verdict))
+    guarantees = c.guarantees.with_signal_labels(constrained.signal_labels)
+    return behavior_included(constrained, guarantees, "guarantees")
 
 
 def refines(c1: Contract, c2: Contract) -> Verdict:
@@ -102,10 +96,10 @@ def refines(c1: Contract, c2: Contract) -> Verdict:
     if c1.input_dim != c2.input_dim or c1.output_dim != c2.output_dim:
         raise DimensionError("contracts have different input/output dimensions")
     return Verdict.combine(
-        ("assumptions", "assumption inclusion fails: ",
-         behavior_included(c2.assumptions, c1.assumptions)),
-        ("guarantees", "guarantee inclusion fails: ",
-         behavior_included(c1.guarantees, c2.guarantees)),
+        ("assumption inclusion fails: ",
+         behavior_included(c2.assumptions, c1.assumptions, "assumptions")),
+        ("guarantee inclusion fails: ",
+         behavior_included(c1.guarantees, c2.guarantees, "guarantees")),
     )
 
 

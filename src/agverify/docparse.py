@@ -23,9 +23,10 @@ carriage returns are one column each.
 
 The exponent after "^" is at most `MAX_EXPONENT`, an integer has at most
 `MAX_DIGITS` digits, and the dimensions of a varlist add up to at most
-`MAX_DIMENSION`. The matrix A of a statespace and the matrix R of a kernel
-have at most `MAX_DIMENSION` rows, and a bare matrix literal
-(`parse_matrix_text`) at most `MAX_DIMENSION` rows and columns.
+`MAX_DIMENSION`. The matrix A of a statespace, the matrix P of an iosystem
+and the matrix R of a kernel have at most `MAX_DIMENSION` rows, and a bare
+matrix literal (`parse_matrix_text`) at most `MAX_DIMENSION` rows and
+columns.
 
 In a statespace a matrix written ``[]`` is empty and takes the shape the
 others imply (`StateSpace.from_lists`), so ``A [] B [] C [] D [[2, 1]]`` is
@@ -354,7 +355,9 @@ class _Parser:
         return StateSpace.from_lists(A.entries, B.entries, C.entries, D.entries)
 
     def parse_iosystem_body(self) -> IoSystem:
+        tok = self.peek()
         P = self.field_matrix("P")
+        self.cap("output count", P.rows, tok)
         Q = self.field_matrix("Q")
         # Written ``[]``, Q has P's rows and no columns: a system without inputs.
         return IoSystem(P, Q if Q.rows else PolyMatrix([()] * P.rows, cols=0))

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .polyalg import ONE, ZERO, Poly, _as_poly, _poly, _pseudo_divmod
 
@@ -259,18 +259,18 @@ def _unpack(v: int, k: int, den: int) -> Poly:
 
 
 def _fraction_free(
-    grid: Sequence[Sequence[Poly]], ncols: int, jordan: bool = False
+    grid: Sequence[Sequence[Poly]], ncols: int
 ) -> tuple[int, int, Poly, list[list[Poly]], list[int]]:
-    """Fraction-free (Bareiss) row elimination of ``grid``, which it leaves as is.
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of ``grid``, which it leaves as is.
 
     Scans columns ``0..ncols-1``; each pivots on its first nonzero entry at or
     below the current rank, and a column without one is skipped. Every other
-    row below the pivot (with ``jordan``, above it too) becomes
-    (pivot * row - entry * pivot_row) / previous_pivot. Each entry stays a
-    minor of the input, so the division is exact (Bareiss, Math. Comp. 22,
-    1968; Nakos, Turner & Williams, SIGSAM Bull. 31, 1997, for the skipped
-    columns and the Gauss-Jordan form). After a full-rank Gauss-Jordan pass
-    on [P | Q] the last pivot is +-det P and the right block +-det(P) P^-1 Q.
+    row, above and below, becomes (pivot * row - entry * pivot_row) /
+    previous_pivot. Each entry stays a minor of the input, so the division is
+    exact (Bareiss, Math. Comp. 22, 1968; Nakos, Turner & Williams, SIGSAM
+    Bull. 31, 1997, for the skipped columns and the Gauss-Jordan form). After
+    a full-rank pass on [P | Q] the last pivot is +-det P and the right block
+    +-det(P) P^-1 Q.
 
     The pass runs on integers. Row i is scaled by the lcm L_i of its
     denominators, and each entry is replaced by its value at s = 2^k
@@ -289,8 +289,7 @@ def _fraction_free(
     row each row came from, all in the final row order. The entries are
     those of the elimination on the unscaled grid: the scaled pivot and top
     rows carry the factor S, the product of L_i over the pivot rows, and the
-    rows below carry S * L_i of their own row. Without ``jordan`` a top row
-    carries only the L_i of the pivot rows down to itself.
+    rows below carry S * L_i of their own row.
     """
     rows = len(grid)
     width = len(grid[0]) if grid else 0
@@ -315,7 +314,7 @@ def _fraction_free(
             sign = -sign
         prow = a[rank]
         pivot = prow[c]
-        for i in range(0 if jordan else rank + 1, rows):
+        for i in range(rows):
             if i == rank:
                 continue
             row = a[i]
@@ -328,13 +327,8 @@ def _fraction_free(
             row[c] = 0
         prev = pivot
         rank += 1
-    factors, s = [], 1
-    for i in order[:rank]:
-        s *= scales[i]
-        factors.append(s)
-    if jordan:
-        factors = [s] * rank
-    factors += [s * scales[i] for i in order[rank:]]
+    s = prod(scales[i] for i in order[:rank])
+    factors = [s] * rank + [s * scales[i] for i in order[rank:]]
     right = [[_unpack(v, k, d) for v in row[ncols:]] for row, d in zip(a, factors)]
     return rank, sign, _unpack(prev, k, s), right, order
 
@@ -556,7 +550,7 @@ def smith_form(R: PolyMatrix) -> SmithDecomposition:
     def inverse(W: PolyMatrix) -> PolyMatrix:
         k = W.rows
         g = [w + e for w, e in zip(W.entries, PolyMatrix.identity(k).entries)]
-        _, _, d, right, _ = _fraction_free(g, k, jordan=True)
+        _, _, d, right, _ = _fraction_free(g, k)
         return PolyMatrix([[e / d.lc for e in row] for row in right], cols=k)
 
     U_inv = PolyMatrix([row[n:] for row in a], cols=m)
@@ -588,7 +582,7 @@ def is_proper(P: PolyMatrix, Q: PolyMatrix) -> bool:
         raise DimensionError(f"properness of P^-1 Q needs a square P, got {P.shape_str()}")
     n = P.rows
     a = [p + q for p, q in zip(P.entries, Q.entries)]
-    rank, _, det, right, _ = _fraction_free(a, n, jordan=True)
+    rank, _, det, right, _ = _fraction_free(a, n)
     if rank < n:
         raise SingularMatrixError("matrix is not invertible (zero determinant)")
     return all(e.degree <= det.degree for row in right for e in row)

@@ -631,6 +631,19 @@ class TestAutonomous:
     def test_underdetermined(self):
         assert not is_autonomous(kernel([[S, -ONE]], W2))
 
+    @settings(deadline=None)
+    @given(st.data())
+    def test_matches_evaluation_rank(self, data):
+        # Rank-deficient kernels come from products through a narrower inner
+        # dimension; random square ones are almost always of full rank.
+        rows, cols = (data.draw(st.integers(min_value=1, max_value=6)) for _ in range(2))
+        inner = data.draw(st.integers(min_value=0, max_value=min(rows, cols)))
+        if data.draw(st.booleans()):
+            R = data.draw(poly_matrices(rows, inner, 1)) * data.draw(poly_matrices(inner, cols, 1))
+        else:
+            R = data.draw(poly_matrices(rows, cols, 2))
+        assert is_autonomous(KernelRep(R, (("w", cols),))) == (evaluation_rank(R) == cols)
+
 
 class TestExpMembership:
     def test_constants(self):

@@ -118,6 +118,15 @@ class TestExitCodes:
             f"error: <matrix>:1:1: matrix column count {over} is above the maximum {MAX_DIMENSION}\n"
         )
 
+    def test_output_count_cap_is_two(self, capsys, tmp_path):
+        over = MAX_DIMENSION + 1
+        io = tmp_path / "io.ag"
+        rows = ("[" + ", ".join("s + 1" if j == i else "0" for j in range(over)) + "]" for i in range(over))
+        io.write_text("iosystem IO { P [" + ", ".join(rows) + "] Q [] }")
+        code, out, err = run(capsys, "check-io", "IO", str(io))
+        assert code == 2 and out == ""
+        assert err == f"error: {io}:1:15: output count {over} is above the maximum {MAX_DIMENSION}\n"
+
     def test_parse_error_is_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.ag"
         bad.write_text("kernel K { vars y:1 R [[s^2+, 1]] }")
@@ -503,6 +512,35 @@ class TestJsonFormat:
     def test_quiet_json(self, capsys):
         _, out, _ = run(capsys, "refines", "C", "C0", "--format", "json", "--quiet", *CORPUS)
         assert json.loads(out)["witnesses"] == []
+
+    @pytest.mark.parametrize(
+        "argv, sides",
+        [
+            (("refines", "C", "C0"), {"assumptions": ("A0", "A"), "guarantees": ("G", "G")}),
+            (("refines", "C2", "C0"), {"assumptions": ("A0", "A2"), "guarantees": ("G", "G")}),
+            (("compatible", "A0", "C"), {"assumptions": ("A0", "A")}),
+        ],
+    )
+    def test_witnesses_use_the_file_matrices(self, capsys, argv, sides):
+        # A witness multiplies the kernels as written in the files, not a
+        # transformed form of them, and re-multiplies to its target.
+        doc = parse_documents([(p, Path(p).read_text()) for p in CORPUS])
+        code, out, _ = run(capsys, *argv, "--format", "json", *CORPUS)
+        assert code == 0
+        witnesses = json.loads(out)["witnesses"]
+        assert [w["label"] for w in witnesses] == list(sides)
+
+        def matrix_of(grid):
+            return PolyMatrix(
+                [[Poly([Fraction(c) for c in e]) for e in row] for row in grid],
+                cols=len(grid[0]),
+            )
+
+        for w in witnesses:
+            source, target = (doc.get(name).value.R for name in sides[w["label"]])
+            assert matrix_of(w["source"]) == source
+            assert matrix_of(w["target"]) == target
+            assert matrix_of(w["multiplier"]) * source == target
 
 
 class TestWitnessTextRoundTrip:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from agverify.behavior import (
+    InclusionWitness,
     IoSystem,
     KernelRep,
     StateSpace,
@@ -23,7 +24,7 @@ from agverify.contracts import (
     refines,
 )
 from agverify.polyalg import ONE, S, ZERO, poly_gcd, poly_lcm
-from agverify.polymatrix import PolyMatrix, rank_generic
+from agverify.polymatrix import PolyMatrix
 from support import random_matrix, random_poly
 
 U2 = (("u", 2),)
@@ -201,11 +202,10 @@ class TestConjunction:
 
 
 class TestContractType:
-    def test_stored_minimized(self):
-        redundant = kern([[S], [S]], U1)
-        c = Contract(redundant, G.with_signal_labels(Y1))
-        assert rank_generic(c.assumptions.R) == c.assumptions.R.rows
-        assert c.assumptions.R.rows == 1
+    def test_stored_as_given(self):
+        a = kern([[S], [S]], U1)
+        c = Contract(a, G)
+        assert c.assumptions is a and c.guarantees is G
 
     def test_dimensions(self):
         assert C.input_dim == 2 and C.output_dim == 1
@@ -214,3 +214,29 @@ class TestContractType:
         other = Contract(kern([[S]], U1), G)
         with pytest.raises(Exception):
             refines(C, other)
+
+
+class TestWitnessChecks:
+    @pytest.mark.parametrize(
+        "decide, args, labels",
+        [
+            (implements, (SYS, C), ["guarantees"]),
+            (refines, (C, C0), ["assumptions", "guarantees"]),
+            (env_compatible, (A0, C), ["assumptions"]),
+            (behavior_equal, (A1, A1), ["forward", "backward"]),
+        ],
+    )
+    def test_each_witness_is_checked_once(self, monkeypatch, decide, args, labels):
+        # A witness is built with its label, so its self-check runs once.
+        check = InclusionWitness.__post_init__
+        checked = []
+
+        def counting_check(w):
+            checked.append(w.label)
+            check(w)
+
+        monkeypatch.setattr(InclusionWitness, "__post_init__", counting_check)
+        verdict = decide(*args)
+        assert verdict.holds
+        assert checked == labels
+        assert [w.label for w in verdict.witnesses] == labels

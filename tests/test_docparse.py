@@ -274,6 +274,17 @@ class TestDefinitions:
                 parse(text)
             assert message in str(exc.value)
 
+    def test_output_count_cap(self):
+        def iosystem(n):
+            P = ", ".join("[" + ", ".join("s" if j == i else "0" for j in range(n)) + "]" for i in range(n))
+            return f"iosystem IO {{\n P [{P}] Q [] }}"
+
+        assert parse_document(iosystem(MAX_DIMENSION)).get("IO").value.p == MAX_DIMENSION
+        over = MAX_DIMENSION + 1
+        with pytest.raises(ParseError) as exc:
+            parse_document(iosystem(over))
+        assert f":2:2: output count {over} is above the maximum {MAX_DIMENSION}" in str(exc.value)
+
     def test_comments_skipped(self):
         doc = parse_document("# heading\nkernel K { vars y:1 R [[s]] } # tail")
         assert "K" in doc.definitions
