@@ -15,8 +15,9 @@ elimination, from its observability indices (Polderman & Willems,
 *Linear Systems*, 1980, sec. 6.4): one integer scan of the rows C_i A^k
 gives P y = Q u with one row per output and P row reduced. Inclusion solves
 the multiplier by Cramer's rule with one fraction-free (Bareiss) pass,
-reducing the source with `row_echelon` first only when its rows are
-dependent. Every decision stays in Q[s]: `check_io_form` reads properness of
+dropping the source rows that are polynomial combinations of its pivot rows,
+and reduces the source with `row_echelon` only when some dependent row is
+not. Every decision stays in Q[s]: `check_io_form` reads properness of
 P^-1 Q off Cramer numerators, and no transfer matrix or other rational
 function is ever formed.
 """
@@ -29,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .polyalg import Poly, Scalar, _frac, _poly
+from .polyalg import ZERO, Poly, Scalar, _frac, _poly
 from .polymatrix import (
     DimensionError,
     PolyMatrix,
@@ -440,42 +441,48 @@ def check_io_form(sys: IoSystem) -> bool:
 
 
 def _left_quotient(src: Sequence[Sequence[Poly]], target: PolyMatrix) -> PolyMatrix | str | None:
-    """The M with M * src = target for src of full row rank, by Cramer's rule.
+    """A polynomial M with M * src = target, by Cramer's rule.
 
-    One fraction-free Gauss-Jordan pass on [src^T | target^T], scanning the
-    r = rows(src) columns of src^T, returns d = det src_J as its last pivot
-    and d * X in the right block of its top r rows, for
-    X = src_J^-T target_J^T, where J are the r columns of src whose rows of
-    src^T became the pivot rows. The right block of the rows below holds the
-    (r + 1) x (r + 1) minors that border src_J with another column of src
-    and a row of target, which all vanish iff a rational M exists. M is then
-    X^T, polynomial iff d divides d * X. Returns None when src is rank
-    deficient, and the reason when no polynomial M exists.
+    One fraction-free Gauss-Jordan pass on [src^T | target^T] scans the
+    columns of src^T. Those that get a pivot are the pivot rows J of src,
+    the first independent ones; the others are its dependent rows D. The
+    pass pivots in the columns C of src, and its last pivot is
+    d = +-det src_J on C. Its top rows hold d * X, for X the coefficients
+    of the rows of D and of target on the rows of J. Its rows below hold
+    the minors that border src_J with another column of src and a row of
+    target, which all vanish iff every row of target is a rational
+    combination of src_J. When d divides the coefficients of every row of
+    D, src and src_J have the same row module, so M exists iff the unique
+    multiplier of src_J is polynomial, that is iff d divides every
+    numerator; M then has a zero column for each row of D. Returns the
+    reason when no polynomial M exists, and None when a row of D is no
+    polynomial combination of src_J, which leaves the question open.
     """
     r, n = len(src), target.cols
     g = [[row[j] for row in src] + [row[j] for row in target.entries] for j in range(n)]
-    rank, _, d, right, order = _fraction_free(g, r)
-    if rank < r:
-        return None
-    for row, j in zip(right[r:], order[r:]):
-        for k, e in enumerate(row):
+    pivots, _, d, right, order = _fraction_free(g, r)
+    rank = len(pivots)
+    dropped = r - rank
+    for row, j in zip(right[rank:], order[rank:]):
+        for k, e in enumerate(row[dropped:]):
             if not e.is_zero:
                 return (
                     f"no polynomial multiplier exists: row {k} is not a rational combination of "
                     f"the source rows in source column {j} (bordered minor {e})"
                 )
-    M = []
-    for k in range(target.rows):
-        M.append([])
-        for i in range(r):
-            quot, rem = divmod(right[i][k], d)
+    if not all(d.divides(e) for row in right[:rank] for e in row[:dropped]):
+        return None
+    M = [[ZERO] * r for _ in range(target.rows)]
+    for k, out in enumerate(M):
+        for i, c in enumerate(pivots):
+            e = right[i][dropped + k]
+            quot, rem = divmod(e, d)
             if not rem.is_zero:
                 return (
-                    f"multiplier is not polynomial: entry ({k}, {i}) requires dividing "
-                    f"{right[i][k]} by the pivot {d} in source columns {sorted(order[:r])}, "
-                    f"remainder {rem}"
+                    f"multiplier is not polynomial: entry ({k}, {c}) requires dividing {e} by "
+                    f"the pivot {d} in source columns {sorted(order[:rank])}, remainder {rem}"
                 )
-            M[k].append(quot)
+            out[c] = quot
     return PolyMatrix(M, cols=r)
 
 
@@ -483,17 +490,20 @@ def behavior_included(r1: KernelRep, r2: KernelRep, label: str = "inclusion") ->
     """Decide ker r1 contained-in ker r2, with a multiplier certificate
     carrying ``label``.
 
-    Inclusion holds iff r2.R factors as M * r1.R for a polynomial M. When
-    r1.R has full row rank, M is unique and one fraction-free pass solves for
-    it by Cramer's rule (`_left_quotient`): the pass decides whether a
-    rational M exists, and the last pivot, the determinant of r1.R on its
-    pivot columns, must divide every numerator. A rank-deficient r1.R is
-    first reduced to echelon form, H = W_top * r1.R with H of full row rank
-    and the same row module; the same solve against H gives M_H, and the
-    witness is M_H * W_top. Either way the witness is checked against the
-    *original* r1.R, so the certificate can be re-checked without re-running
-    any part of this procedure. On failure the diagnostic names the first
-    offending entry.
+    Inclusion holds iff r2.R factors as M * r1.R for a polynomial M. One
+    fraction-free pass solves for M by Cramer's rule (`_left_quotient`)
+    against the pivot rows of r1.R, its first independent rows: the pass
+    decides whether a rational M exists, and the last pivot, the determinant
+    of those rows on their pivot columns, must divide every numerator. A
+    dependent row that is a polynomial combination of the pivot rows adds no
+    constraint, so it is dropped and gets a zero column in M. Only when a
+    dependent row needs a non-polynomial combination is r1.R reduced to
+    echelon form, H = W_top * r1.R with H of full row rank and the same row
+    module; the same solve against H gives M_H, and the witness is
+    M_H * W_top. Either way the witness is checked against the *original*
+    r1.R, so the certificate can be re-checked without re-running any part
+    of this procedure. On failure the diagnostic names the first offending
+    entry, by its row of r2.R and its row of r1.R.
     """
     if r1.signal_labels != r2.signal_labels:
         raise SignalSpaceError(

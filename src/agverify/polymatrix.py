@@ -260,17 +260,19 @@ def _unpack(v: int, k: int, den: int) -> Poly:
 
 def _fraction_free(
     grid: Sequence[Sequence[Poly]], ncols: int
-) -> tuple[int, int, Poly, list[list[Poly]], list[int]]:
+) -> tuple[list[int], int, Poly, list[list[Poly]], list[int]]:
     """Fraction-free (Bareiss) Gauss-Jordan elimination of ``grid``, which it leaves as is.
 
     Scans columns ``0..ncols-1``; each pivots on its first nonzero entry at or
     below the current rank, and a column without one is skipped. Every other
     row, above and below, becomes (pivot * row - entry * pivot_row) /
-    previous_pivot. Each entry stays a minor of the input, so the division is
+    previous_pivot in every column without a pivot, the skipped ones
+    included. Each entry stays a minor of the input, so the division is
     exact (Bareiss, Math. Comp. 22, 1968; Nakos, Turner & Williams, SIGSAM
     Bull. 31, 1997, for the skipped columns and the Gauss-Jordan form). After
     a full-rank pass on [P | Q] the last pivot is +-det P and the right block
-    +-det(P) P^-1 Q.
+    +-det(P) P^-1 Q; a skipped column c holds, in the top rows, the last
+    pivot times the coefficients of c on the pivot columns.
 
     The pass runs on integers. Row i is scaled by the lcm L_i of its
     denominators, and each entry is replaced by its value at s = 2^k
@@ -283,13 +285,14 @@ def _fraction_free(
     an exact division of polynomials is an exact division of integers; an
     integer division that leaves a remainder raises `ArithmeticError`.
 
-    Returns ``(rank, sign, pivot, right, order)``: the rank of the scanned
-    columns, the sign of the row permutation, the last pivot (1 when the
-    rank is 0), the columns from ``ncols`` on of every row, and the input
-    row each row came from, all in the final row order. The entries are
-    those of the elimination on the unscaled grid: the scaled pivot and top
-    rows carry the factor S, the product of L_i over the pivot rows, and the
-    rows below carry S * L_i of their own row.
+    Returns ``(pivots, sign, pivot, right, order)``: the scanned columns that
+    got a pivot, whose count is the rank, the sign of the row permutation,
+    the last pivot (1 when the rank is 0), the columns without a pivot of
+    every row, the skipped scanned ones first and then those from ``ncols``
+    on, and the input row each row came from, all in the final row order.
+    The entries are those of the elimination on the unscaled grid: the
+    scaled pivot and top rows carry the factor S, the product of L_i over
+    the pivot rows, and the rows below carry S * L_i of their own row.
     """
     rows = len(grid)
     width = len(grid[0]) if grid else 0
@@ -301,8 +304,12 @@ def _fraction_free(
     k = bound.bit_length() + 1
     a = [[_pack(e, scale, k) for e in row] for row, scale in zip(grid, scales)]
     order = list(range(rows))
-    rank, sign, prev = 0, 1, 1
+    # The columns without a pivot: those skipped, then those not yet scanned.
+    live = list(range(width))
+    pivots: list[int] = []
+    sign, prev = 1, 1
     for c in range(ncols):
+        rank = len(pivots)
         if rank == rows:
             break
         piv = next((i for i in range(rank, rows) if a[i][c]), None)
@@ -312,6 +319,7 @@ def _fraction_free(
             a[rank], a[piv] = a[piv], a[rank]
             order[rank], order[piv] = order[piv], order[rank]
             sign = -sign
+        live.remove(c)
         prow = a[rank]
         pivot = prow[c]
         for i in range(rows):
@@ -319,18 +327,19 @@ def _fraction_free(
                 continue
             row = a[i]
             f = row[c]
-            for j in range(c + 1, width):
+            for j in live:
                 q, r = divmod(row[j] * pivot - f * prow[j], prev)
                 if r:
                     raise ArithmeticError("inexact division in fraction-free elimination")
                 row[j] = q
             row[c] = 0
         prev = pivot
-        rank += 1
+        pivots.append(c)
+    rank = len(pivots)
     s = prod(scales[i] for i in order[:rank])
     factors = [s] * rank + [s * scales[i] for i in order[rank:]]
-    right = [[_unpack(v, k, d) for v in row[ncols:]] for row, d in zip(a, factors)]
-    return rank, sign, _unpack(prev, k, s), right, order
+    right = [[_unpack(row[j], k, d) for j in live] for row, d in zip(a, factors)]
+    return pivots, sign, _unpack(prev, k, s), right, order
 
 
 def _mul_sub(m: int, x: list[int], q: list[int], y: list[int]) -> list[int]:
@@ -441,8 +450,8 @@ def determinant(P: PolyMatrix) -> Poly:
     """
     if not P.is_square:
         raise DimensionError(f"determinant of non-square {P.shape_str()} matrix")
-    rank, sign, det = _fraction_free(P.entries, P.rows)[:3]
-    if rank < P.rows:
+    pivots, sign, det = _fraction_free(P.entries, P.rows)[:3]
+    if len(pivots) < P.rows:
         return ZERO
     return det if sign == 1 else -det
 
@@ -453,7 +462,7 @@ def rank_generic(R: PolyMatrix) -> int:
     Equals the rank of R(x) at all but finitely many evaluation points.
     Computed by fraction-free elimination, so it never leaves Q[s].
     """
-    return _fraction_free(R.entries, R.cols)[0]
+    return len(_fraction_free(R.entries, R.cols)[0])
 
 
 def is_unimodular(P: PolyMatrix) -> bool:
@@ -582,7 +591,7 @@ def is_proper(P: PolyMatrix, Q: PolyMatrix) -> bool:
         raise DimensionError(f"properness of P^-1 Q needs a square P, got {P.shape_str()}")
     n = P.rows
     a = [p + q for p, q in zip(P.entries, Q.entries)]
-    rank, _, det, right, _ = _fraction_free(a, n)
-    if rank < n:
+    pivots, _, det, right, _ = _fraction_free(a, n)
+    if len(pivots) < n:
         raise SingularMatrixError("matrix is not invertible (zero determinant)")
     return all(e.degree <= det.degree for row in right for e in row)

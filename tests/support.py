@@ -106,12 +106,14 @@ def transfer_identity_holds(s: StateSpace, P: PolyMatrix, Q: PolyMatrix) -> bool
 def bareiss_reference(grid: list[list[Poly]], ncols: int, jordan: bool = False):
     """The fraction-free elimination of `polymatrix._fraction_free`, on
     `Poly` entries with their own exact division; returns the same
-    (rank, sign, last pivot, right block, row order)."""
+    (pivot columns, sign, last pivot, right block, row order), the right
+    block over the columns without a pivot."""
     a = [list(row) for row in grid]
     rows, width = len(a), len(a[0]) if a else 0
     order = list(range(rows))
-    rank, sign, prev = 0, 1, Poly([1])
+    pivots, sign, prev = [], 1, Poly([1])
     for c in range(ncols):
+        rank = len(pivots)
         piv = next((i for i in range(rank, rows) if not a[i][c].is_zero), None)
         if piv is None:
             continue
@@ -119,16 +121,18 @@ def bareiss_reference(grid: list[list[Poly]], ncols: int, jordan: bool = False):
         order[rank], order[piv] = order[piv], order[rank]
         sign = sign if piv == rank else -sign
         prow, pivot = a[rank], a[rank][c]
+        pivots.append(c)
         for i in range(0 if jordan else rank + 1, rows):
             if i != rank:
                 f = a[i][c]
-                for j in range(c + 1, width):
-                    q, r = divmod(a[i][j] * pivot - f * prow[j], prev)
-                    assert r.is_zero, "inexact Bareiss division"
-                    a[i][j] = q
+                for j in range(width):
+                    if j not in pivots:
+                        q, r = divmod(a[i][j] * pivot - f * prow[j], prev)
+                        assert r.is_zero, "inexact Bareiss division"
+                        a[i][j] = q
         prev = pivot
-        rank += 1
-    return rank, sign, prev, [row[ncols:] for row in a], order
+    free = [j for j in range(width) if j not in pivots]
+    return pivots, sign, prev, [[row[j] for j in free] for row in a], order
 
 
 def row_echelon_reference(grid: list[list[Poly]], ncols: int):

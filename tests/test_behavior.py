@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from agverify import behavior
 from agverify.behavior import (
     InclusionWitness,
     IoSystem,
@@ -373,6 +374,53 @@ class TestCheckIoForm:
         assert not check_io_form(IoSystem(PolyMatrix([[ZERO]]), PolyMatrix([[ONE]])))
 
 
+@st.composite
+def integer_rank_deficient_instances(draw):
+    """(R1, R2) with R1 an integer source of up to 6x7 at degree <= 2 and of
+    rank r below its row count: T * G for r independent rows G and
+    T = [F; X] of degree <= 1, in shuffled order. F = I makes every row a
+    polynomial combination of G; a random square F usually is not unimodular,
+    so some rows are only rational combinations of the others. Which rows the
+    pass keeps depends on the order, so both kinds of dependent row occur
+    either way. R2 is a left multiple of R1 (holds), of G (holds iff G lies
+    in the row module of R1), or of R1 plus a constant (usually fails)."""
+    cols = draw(st.integers(min_value=3, max_value=7))
+    rank = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.integers(min_value=rank + 1, max_value=6))
+    small = st.integers(min_value=-2, max_value=2)
+    G = draw(poly_matrices(rank, cols, 1, small))
+    assume(evaluation_rank(G) == rank)
+    if draw(st.booleans()):
+        F = PolyMatrix.identity(rank)
+    else:
+        F = draw(poly_matrices(rank, rank, 1, small))
+        assume(evaluation_rank(F) == rank)
+    T = vstack(F, draw(poly_matrices(rows - rank, rank, 1, small)))
+    R1 = (T * G).take_rows(draw(st.permutations(range(rows))))
+    q = draw(st.integers(min_value=1, max_value=2))
+    mode = draw(st.sampled_from(("multiple", "base", "perturbed")))
+    if mode == "base":
+        R2 = draw(poly_matrices(q, rank, 1, small)) * G
+    else:
+        R2 = draw(poly_matrices(q, rows, 1, small)) * R1
+    if mode == "perturbed":
+        R2 = R2 + PolyMatrix([[ONE] + [ZERO] * (cols - 1)] + [[ZERO] * cols] * (q - 1))
+    return R1, R2
+
+
+@pytest.fixture
+def echelon_calls(monkeypatch):
+    """Count the `row_echelon` reductions that `behavior_included` runs."""
+    calls = []
+
+    def counted(a, ncols):
+        calls.append(ncols)
+        return row_echelon(a, ncols)
+
+    monkeypatch.setattr(behavior, "row_echelon", counted)
+    return calls
+
+
 class TestInclusion:
     def test_s_in_s_squared(self):
         v = behavior_included(kernel([[S]]), kernel([[S**2]]))
@@ -443,6 +491,54 @@ class TestInclusion:
         v = behavior_included(r1, kernel([[ZERO, ONE]], W2))
         assert not v.holds
         assert "source column 1" in v.diagnostics[0]
+
+    def test_dependent_row_dropped_without_echelon(self, echelon_calls):
+        # The last row is a * row0 + b * row1 with polynomial a and b.
+        R0, R1 = [S, ONE, ZERO], [ONE, S + 2, S]
+        a, b = S + 1, Poly([-2])
+        src = [R0, R1, [a * x + b * y for x, y in zip(R0, R1)]]
+        r2 = kernel([[S * x - y for x, y in zip(R0, R1)]], W3)
+        v = behavior_included(kernel(src, W3), r2)
+        assert v.holds
+        assert echelon_calls == []
+        M = v.witnesses[0].multiplier
+        assert M.take_cols([2]).is_zero
+        assert M * PolyMatrix(src) == r2.R
+
+    def test_non_polynomial_dependence_falls_back_to_echelon(self, echelon_calls):
+        v = behavior_included(kernel([[S, ZERO], [S + 1, ZERO]], W2), kernel([[ONE, ZERO]], W2))
+        assert v.holds
+        assert len(echelon_calls) == 1
+        assert v.witnesses[0].multiplier == PolyMatrix([[-ONE, ONE]])
+
+    @pytest.mark.parametrize(
+        "R2, want",
+        [
+            (
+                [[S, S + 1, S], [ONE, ZERO, ZERO]],
+                "no polynomial multiplier exists: row 1 is not a rational combination of "
+                "the source rows in source column 2 (bordered minor s)",
+            ),
+            (
+                [[S, S + 1, S], [ZERO, ONE, ONE]],
+                "multiplier is not polynomial: entry (1, 2) requires dividing s by the pivot "
+                "s^2 in source columns [0, 1], remainder s",
+            ),
+        ],
+    )
+    def test_dropped_row_diagnostics(self, echelon_calls, R2, want):
+        # Source rows b, (s + 1) * b, a: the pass keeps rows 0 and 2 and drops
+        # row 1. The diagnostic counts the target's rows and names the
+        # source row 2, not its place among the kept rows.
+        b, a = [S, ONE, ZERO], [ZERO, S, S]
+        src = [b, [(S + 1) * e for e in b], a]
+        v = behavior_included(kernel(src, W3), kernel(R2, W3))
+        assert not v.holds
+        assert v.diagnostics == (want,)
+        assert echelon_calls == []
+        # Row 0 of R2 alone holds, with a zero multiplier column for row 1.
+        v = behavior_included(kernel(src, W3), kernel(R2[:1], W3))
+        assert v.witnesses[0].multiplier == PolyMatrix([[ONE, ZERO, ONE]])
 
     def test_zero_row_source(self):
         free = kernel([], W2)
@@ -571,6 +667,17 @@ class TestInclusion:
         else:
             (d,) = v.diagnostics
             assert "multiplier" in d
+
+
+    @settings(deadline=None, max_examples=60)
+    @given(integer_rank_deficient_instances())
+    def test_integer_rank_deficient_sources_match_oracle(self, instance):
+        R1, R2 = instance
+        labels = (("w", R1.cols),)
+        v = behavior_included(KernelRep(R1, labels), KernelRep(R2, labels))
+        assert v.holds == inclusion_by_linear_solve(R1, R2)
+        if v.holds:
+            assert v.witnesses[0].multiplier * R1 == R2
 
 
 class TestBehaviorEqual:

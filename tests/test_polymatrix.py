@@ -103,8 +103,9 @@ def wide_squares(draw):
 @st.composite
 def elimination_grids(draw):
     """Grids up to 5 x 7 with up to 5 scanned columns and rational entries;
-    some have a row that is a multiple of another, or a zero first column,
-    so the pass loses rank, skips columns and permutes rows."""
+    some have a row that is a multiple of another, a scanned column that is
+    a multiple of the one before it, or a zero first column, so the pass
+    loses rank, skips columns, also between two pivots, and permutes rows."""
     rows = draw(st.integers(min_value=0, max_value=5))
     ncols = draw(st.integers(min_value=0, max_value=5))
     width = ncols + draw(st.integers(min_value=0, max_value=2))
@@ -113,6 +114,11 @@ def elimination_grids(draw):
     if rows > 1 and draw(st.booleans()):
         factor = draw(poly_matrices(1, 1, 1, coeff))[0, 0]
         grid[-1] = [e * factor for e in grid[0]]
+    if ncols > 2 and draw(st.booleans()):
+        j = draw(st.integers(min_value=1, max_value=ncols - 2))
+        factor = draw(poly_matrices(1, 1, 1, coeff))[0, 0]
+        for row in grid:
+            row[j] = row[j - 1] * factor
     if width and draw(st.booleans()):
         for row in grid:
             row[0] = ZERO
