@@ -11,15 +11,17 @@ multiplication. Minimization and latent elimination are one
 `polymatrix.row_echelon` scan each, so their results are minimal by
 construction. A state-space system goes to input-output form without
 elimination, from its observability indices (Polderman & Willems,
-*Introduction to Mathematical Systems Theory*, 1998, ch. 6; Kailath,
-*Linear Systems*, 1980, sec. 6.4): one integer scan of the rows C_i A^k
-gives P y = Q u with one row per output and P row reduced. Inclusion solves
-the multiplier by Cramer's rule with one fraction-free (Bareiss) pass,
-dropping the source rows that are polynomial combinations of its pivot rows,
-and reduces the source with `row_echelon` only when some dependent row is
-not. Every decision stays in Q[s]: `check_io_form` reads properness of
-P^-1 Q off Cramer numerators, and no transfer matrix or other rational
-function is ever formed.
+*Introduction to Mathematical Systems Theory*, 1998, ch. 6; Kailath, *Linear
+Systems*, 1980, sec. 6.4): one integer scan of relation rows, each a
+derivative of one output as a state part and an input part, reduces the
+state parts, and the first dependence of each output sums the input parts of
+the rows it involves into one row of P y = Q u, with one row per output and
+P row reduced. Inclusion solves the multiplier by Cramer's rule with one
+fraction-free (Bareiss) pass, dropping the source rows that are polynomial
+combinations of its pivot rows, and reduces the source with `row_echelon`
+only when some dependent row is not. Every decision stays in Q[s]:
+`check_io_form` reads properness of P^-1 Q off Cramer numerators, and no
+transfer matrix or other rational function is ever formed.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from operator import mul
 
@@ -321,103 +324,95 @@ def statespace_to_io(s: StateSpace) -> IoSystem:
     indices (Polderman & Willems, *Introduction to Mathematical Systems
     Theory*, 1998, ch. 6; Kailath, *Linear Systems*, 1980, sec. 6.4).
 
-    The rows C_i A^k are scanned by k, then by i. Output i stops at its
-    first row that depends on the rows selected before it, at k = nu_i:
-    C_i A^nu_i = sum alpha_jl C_j A^l over selected rows, so l <= nu_i, and
-    l = nu_i only for j < i. As y_j^(l) = C_j A^l x + D_j u^(l) +
-    sum_{t<l} C_j A^(l-1-t) B u^(t), the state cancels from row i of
-
-        s^nu_i y_i - sum alpha_jl s^l y_j = q_i(s) u,
-
-    where q_i collects the D and Markov terms C_j A^(l-1-t) B s^t. Row i of
-    P has a monic diagonal entry of degree nu_i, entries of degree below
-    nu_i after it and at most nu_i before it, so its leading row-coefficient
+    Candidate (i, k) stands for the k-th derivative of output i. The
+    candidates are scanned by k, then by i. Output i stops at its first
+    candidate whose state part C_i A^k depends on those of the candidates
+    selected before it, at k = nu_i: C_i A^nu_i = sum alpha_jl C_j A^l over
+    selected (j, l), so l <= nu_i, and l = nu_i only for j < i. Row i of P
+    has a monic diagonal entry of degree nu_i, entries of degree below nu_i
+    after it and at most nu_i before it, so its leading row-coefficient
     matrix is unit lower-triangular: P is row reduced, deg det P = sum nu_i
     is the rank of the observability matrix, and P^-1 Q is proper, as Q's
     row i has degree at most nu_i.
 
-    The scan runs on integers. With A, B, C and D scaled to integer matrices
-    over common denominators dA, dB, dC and dD, the row r_ik = C_i A^k times
-    dC dA^k is an integer vector. Each r_ik is reduced against an integer
-    echelon basis of the rows selected so far; each basis row carries a tag,
-    its combination of the selected rows. An update is fraction-free,
-    v := b_c v - v_c b on the row and the tag alike, followed by division by
-    the gcd of both. When v vanishes, its tag reads c r_i,nu_i +
-    sum tau_jl r_jl = 0, so alpha_jl = -(tau_jl / c) dA^l / dA^nu_i.
-    `Poly`s are built only for the p rows of [P | Q], whose numerators are
-    integers over dC dB dD c dA^nu_i.
+    The scan runs on integers. Write A, B, C and D as integer matrices A',
+    B', C' and D' over common denominators dA, dB, dC and dD. Candidate
+    (i, k) is then the relation row
+
+        sigma_k y_i^(k) = dB dD x . state + sum_t q_t . u^(t),
+        sigma_k = dB dC dD dA^k,
+
+    with an integer state part x and input part q. For k = 0, x = C'_i and
+    q = dB dC D'_i. One more derivative replaces x by x A', and q by
+    (dA dD x B', dA q): the old input part moves up one order, behind a new
+    t = 0 block. The factor dB dD is the same in every relation row, so it
+    stays out of the scan, and x is the row C_i A^k times dC dA^k. The row x
+    is followed by its tag, zeros and then a 1 for this candidate, and
+    reduced against an integer echelon basis of the selected rows, each with
+    its own tag, as `row_echelon` reduces [R | I]: an update is
+    fraction-free, v := b_c v - v_c b, and divides the whole row by its gcd.
+    When the state part vanishes, the tag holds weights w over the selected
+    candidates and (i, nu_i) whose relation rows sum to one without a state
+    part: row i of [P | Q] is the sum of w (sigma_l s^l e_j | q) over them,
+    divided by the coefficient of s^nu_i in P_ii. `Poly`s are built only
+    for these p rows.
 
     `check_io_form` is run on the result as a self-check; its failure is a
-    `RuntimeError`, a fault rather than bad input.
+    `SelfCheckError`, a fault rather than bad input.
     """
     n, m, p = s.n, s.m, s.p
     A, dA = _integer_rows(s.A)
     B, dB = _integer_rows(s.B)
-    C, dC = _integer_rows(s.C)
+    x, dC = _integer_rows(s.C)
     D, dD = _integer_rows(s.D)
     a_cols = [[row[j] for row in A] for j in range(n)]
-    # rows[i][k] is r_ik; tags[i] is the tag of output i's dependent row.
-    rows: list[list[list[int]]] = [[r] for r in C]
-    tags: list[list[int]] = [[] for _ in range(p)]
-    basis: list[tuple[int, list[int], list[int]]] = []
-    selected: list[tuple[int, int]] = []
+    b_cols = [[row[j] for row in B] for j in range(m)]
+    # x[i] and q[i] are the state and input parts of output i's candidate,
+    # q in t-major order: q[i][t * m + c] multiplies u_c^(t).
+    q = [[dB * dC * e for e in row] for row in D]
+    basis: list[tuple[int, list[int]]] = []
+    # (j, l, input part) of each selected candidate, in the order of the tags.
+    selected: list[tuple[int, int, list[int]]] = []
+    P_rows: list[list[Poly]] = [[] for _ in range(p)]
+    Q_rows: list[list[Poly]] = [[] for _ in range(p)]
     active = list(range(p))
     k = 0
     while active:
         still = []
         for i in active:
-            if k:
-                prev = rows[i][-1]
-                rows[i].append([sum(map(mul, prev, col)) for col in a_cols])
-            v = rows[i][k]
-            tag = [0] * len(selected) + [1]
-            for c, b, tb in basis:
-                x = v[c]
-                if x:
-                    y = b[c]
-                    v = [y * e - x * f for e, f in zip(v, b)]
-                    tag = [y * e - x * f for e, f in zip(tag, tb)] + [y * e for e in tag[len(tb):]]
-                    g = gcd(*v, *tag)
+            v = x[i] + [0] * len(selected) + [1]
+            for c, b in basis:
+                e = v[c]
+                if e:
+                    f = b[c]
+                    v = [f * a - e * z for a, z in zip_longest(v, b, fillvalue=0)]
+                    g = gcd(*v)
                     if g > 1:
-                        v = [e // g for e in v]
-                        tag = [e // g for e in tag]
-            pivot = next((c for c, x in enumerate(v) if x), None)
-            if pivot is None:
-                tags[i] = tag
-            else:
-                basis.append((pivot, v, tag))
-                selected.append((i, k))
+                        v = [a // g for a in v]
+            pivot = next((c for c in range(n) if v[c]), None)
+            if pivot is not None:
+                basis.append((pivot, v))
+                selected.append((i, k, q[i]))
                 still.append(i)
+                xi = x[i]
+                x[i] = [sum(map(mul, xi, col)) for col in a_cols]
+                q[i] = [dA * dD * sum(map(mul, xi, col)) for col in b_cols] + [dA * e for e in q[i]]
+                continue
+            pn = [[0] * (k + 1) for _ in range(p)]
+            qn = [0] * (m * (k + 1))
+            for w, (j, l, qj) in zip(v[n:], [*selected, (i, k, q[i])]):
+                if w:
+                    pn[j][l] += w * dB * dC * dD * dA**l
+                    for t, e in enumerate(qj):
+                        qn[t] += w * e
+            den = v[-1] * dB * dC * dD * dA**k
+            P_rows[i] = [_poly(e, den) for e in pn]
+            Q_rows[i] = [_poly(qn[c::m], den) for c in range(m)]
         active = still
         k += 1
-
-    b_cols = [[row[j] for row in B] for j in range(m)]
-    # markov[j][k] is r_jk B, for the rows output j selected.
-    markov = [[[sum(map(mul, r, col)) for col in b_cols] for r in rs[:-1]] for rs in rows]
-    scale = dC * dB * dD
-    P_rows, Q_rows = [], []
-    for i in range(p):
-        tag = tags[i]
-        nu = len(rows[i]) - 1
-        # Output j's derivative of order l enters with weight w * dA^l.
-        terms = [(tag[-1], i, nu)] + [(w, *selected[x]) for x, w in enumerate(tag[:-1]) if w]
-        pn = [[0] * (nu + 1) for _ in range(p)]
-        qn = [[0] * (nu + 1) for _ in range(m)]
-        for w, j, l in terms:
-            wl = w * dA**l
-            pn[j][l] += wl * scale
-            for col, d in enumerate(D[j]):
-                qn[col][l] += wl * dC * dB * d
-            for t in range(l):
-                f = w * dA ** (t + 1) * dD
-                for col, e in enumerate(markov[j][l - 1 - t]):
-                    qn[col][t] += f * e
-        den = tag[-1] * dA**nu * scale
-        P_rows.append([_poly(e, den) for e in pn])
-        Q_rows.append([_poly(e, den) for e in qn])
     sys = IoSystem(PolyMatrix(P_rows, cols=p), PolyMatrix(Q_rows, cols=m))
     if not check_io_form(sys):
-        raise RuntimeError("state elimination did not yield input-output form")
+        raise SelfCheckError("state elimination did not yield input-output form")
     return sys
 
 

@@ -52,7 +52,7 @@ from .docparse import (
     parse_matrix_text,
     poly_coeffs,
 )
-from .polymatrix import SelfCheckError, smith_form
+from .polymatrix import smith_form
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -274,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_ERROR
         doc = parse_documents(sources)
         report = run_command(args, doc)
-    except (ArithmeticError, RuntimeError, SelfCheckError) as exc:
+    except (ArithmeticError, RuntimeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (DocumentError, IoFormError, ValueError) as exc:

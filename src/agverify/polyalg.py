@@ -10,8 +10,10 @@ also runs directly on integer coefficient lists, without building a `Poly`.
 A `Poly` divides only by a scalar; `divmod` divides by a polynomial.
 
 `RatFunc`, `poly_gcd` and `poly_lcm` take no part in any decision: every
-decision stays in Q[s]. They remain as an independent reference for tests,
-and the benchmark tracer in ``perfbench/`` counts their calls.
+decision stays in Q[s]. `poly_gcd` and `poly_lcm` are an independent
+reference for the tests of the matrix and contract layers. `RatFunc` is
+read only by its own tests and by the benchmark tracer in ``perfbench/``,
+which counts its constructions.
 
 Conventions:
 

@@ -39,7 +39,7 @@ class SingularMatrixError(ValueError):
     """A square matrix required to be invertible has zero determinant."""
 
 
-class SelfCheckError(ValueError):
+class SelfCheckError(RuntimeError):
     """A result failed the check it runs on itself: a fault, not bad input."""
 
 

@@ -26,7 +26,15 @@ from agverify.behavior import (
     statespace_to_kernel,
 )
 from agverify.polyalg import ONE, S, ZERO, Poly
-from agverify.polymatrix import PolyMatrix, hstack, is_proper, rank_generic, row_echelon, vstack
+from agverify.polymatrix import (
+    PolyMatrix,
+    SelfCheckError,
+    hstack,
+    is_proper,
+    rank_generic,
+    row_echelon,
+    vstack,
+)
 from support import (
     eval_matrix,
     evaluation_rank,
@@ -330,11 +338,40 @@ class TestStateSpaceConversion:
         assert k.R.rows == s.p
         P, Q = k.R.take_cols(range(s.m, s.m + s.p)), -k.R.take_cols(range(s.m))
         assert is_proper(P, Q)
-        # The leading row-coefficient matrix of P is unit lower-triangular.
-        for i, row in enumerate(P.entries):
-            d = max(e.degree for e in row)
-            lead = [e.coeff(d) for e in row]
-            assert lead[i] == 1 and not any(lead[i + 1:])
+        # The normal form: P_ii monic of degree nu_i, P_ij of degree at most
+        # nu_i before the diagonal and below it after, Q_i of degree at most
+        # nu_i, so P's leading row-coefficient matrix is unit lower-triangular.
+        nus = [row[i].degree for i, row in enumerate(P.entries)]
+        for i, (nu, row) in enumerate(zip(nus, P.entries)):
+            assert row[i].lc == 1
+            assert all(e.degree <= nu for e in row[:i])
+            assert all(e.degree < nu for e in row[i + 1:])
+            assert all(e.degree <= nu for e in Q.entries[i])
+        # sum nu_i is the rank of the observability matrix [C; CA; ...].
+        blocks = [s.C]
+        for _ in range(1, s.n):
+            blocks.append(blocks[-1] * s.A)
+        assert sum(nus) == fraction_rank([r for b in blocks for r in eval_matrix(b, 0)])
+
+    def test_rational_scaling_pinned(self):
+        # Denominators 2, 3, 5 and 7 in A, B, C and D, so each scale factor
+        # of the integer scan differs.
+        s = StateSpace.from_lists(
+            [[Fraction(1, 2), 1, 0], [0, Fraction(-1, 2), 1], [1, 0, Fraction(3, 2)]],
+            [[Fraction(1, 3), 0], [0, Fraction(2, 3)], [1, Fraction(-1, 3)]],
+            [[Fraction(1, 5), 0, 1], [0, Fraction(2, 5), 0]],
+            [[Fraction(1, 7), 0], [0, Fraction(-2, 7)]],
+        )
+        io = statespace_to_io(s)
+        F = Fraction
+        assert io.P == PolyMatrix([
+            [Poly([F(19, 40), F(-39, 20), 1]), F(-61, 40)],
+            [Poly([F(-11, 20), F(1, 10)]), Poly([F(9, 20), 1])],
+        ])
+        assert io.Q == PolyMatrix([
+            [Poly([F(-611, 4200), F(331, 420), F(1, 7)]), Poly([F(151, 210), F(-1, 3)])],
+            [Poly([F(59, 2100), F(1, 70)]), Poly([F(11, 105), F(-2, 7)])],
+        ])
 
     def test_quarter_car_elimination(self):
         # d^2 y = d^2 u1 + d(u1 - u2) + (u1 - u2) for unit parameters.
@@ -579,7 +616,7 @@ class TestInclusion:
         assert w.multiplier * r1.R == r2.R
 
     def test_witness_constructor_rejects_bad_certificate(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SelfCheckError):
             InclusionWitness(
                 multiplier=PolyMatrix([[ONE]]),
                 source=PolyMatrix([[S]]),

@@ -24,6 +24,30 @@ from agverify.polymatrix import PolyMatrix
 
 CORPUS = sorted(str(p) for p in agverify.corpus_dir().glob("*.ag"))
 
+# The README's iosystem and latent examples, which the corpus does not hold.
+README_SYSTEMS = """
+iosystem IO { P [[s^2]] Q [[s^2 + s + 1, -s - 1]] }
+
+latent L {
+  vars w:2
+  latent l:1
+  R [[1, 0], [0, 1]]
+  E [[s], [1]]
+}
+"""
+
+# Contracts the corpus lacks: Cx over one input, Cv and Cw over inputs v
+# and outputs w where the corpus contract C has u and y.
+OTHER_CONTRACTS = """
+kernel Ax { vars u:1 R [[s]] }
+kernel Gx { vars y:1 R [[s]] }
+contract Cx { assumptions Ax guarantees Gx }
+kernel Av { vars v:2 R [[s, 1]] }
+contract Cv { assumptions Av guarantees G }
+kernel Gw { vars w:1 R [[s]] }
+contract Cw { assumptions A guarantees Gw }
+"""
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -154,6 +178,34 @@ class TestExitCodes:
     def test_missing_file_is_two(self, capsys):
         code, _, err = run(capsys, "implements", "S", "C", "/nonexistent/x.ag")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text, argv, message",
+        [
+            ("kernel K { varz u:1 R [[s]] }", ("include", "K", "K"),
+             "{f}:1:12: expected 'vars', found 'varz'"),
+            ("kernel K { vars u:0 R [] }", ("include", "K", "K"),
+             "{f}:1:19: signal dimension must be at least 1"),
+            ("foo K {}", ("include", "K", "K"), "{f}:1:1: unknown definition kind 'foo'"),
+            ("# only a comment\n", ("include", "K", "K"), "{f}:2:1: empty document"),
+            (OTHER_CONTRACTS, ("smith", "[]"), "<matrix>: empty matrix literal has unknown column count"),
+            (OTHER_CONTRACTS, ("implements", "S", "Cx"),
+             "system is 2-input 1-output, contract expects 1-input 1-output"),
+            (OTHER_CONTRACTS, ("refines", "Cx", "C"), "contracts have different input/output dimensions"),
+            (OTHER_CONTRACTS, ("conjoin", "Cx", "C"), "contracts have different input/output dimensions"),
+            # Same dimensions, other names: assumptions, then guarantees.
+            (OTHER_CONTRACTS, ("conjoin", "C", "Cv"), "signal spaces differ: (('u', 2),) vs (('v', 2),)"),
+            (OTHER_CONTRACTS, ("conjoin", "C", "Cw"), "signal spaces differ: (('y', 1),) vs (('w', 1),)"),
+        ],
+        ids=["varz", "vars-u0", "kind-foo", "comment-only", "smith-empty", "implements-dims",
+             "refines-dims", "conjoin-dims", "conjoin-assumption-names", "conjoin-guarantee-names"],
+    )
+    def test_rejected_input_is_two(self, capsys, tmp_path, text, argv, message):
+        f = tmp_path / "input.ag"
+        f.write_text(text)
+        code, out, err = run(capsys, *argv, str(f), *CORPUS)
+        assert code == 2 and out == ""
+        assert err == "error: " + message.format(f=f) + "\n"
 
     @pytest.mark.parametrize(
         "command, target, fault",
@@ -331,17 +383,33 @@ class TestCommands:
                 {"witnesses": [{"label": "guarantees", "multiplier": [[["1"]]],
                                 "source": [[["0", "0", "1"]]], "target": [[["0", "0", "1"]]]}]},
             ),
+            (
+                ("eliminate", "IO"),
+                "kernel: \nkernel IO_kernel {\n  vars u:2, y:1\n"
+                "  R [[-s^2 - s - 1, s + 1, s^2]]\n}",
+                {"kernel": {"vars": "u:2, y:1",
+                            "R": [[["-1", "-1", "-1"], ["1", "1"], ["0", "0", "1"]]]}},
+            ),
+            (
+                ("eliminate", "L"),
+                "kernel: \nkernel L_kernel {\n  vars w:2\n  R [[1, -s]]\n}",
+                {"kernel": {"vars": "w:2", "R": [[["1"], ["0", "-1"]]]}},
+            ),
         ],
     )
-    def test_statespace_outputs_golden(self, capsys, argv, text, fields):
+    def test_statespace_outputs_golden(self, capsys, tmp_path, argv, text, fields):
         # State-space systems are printed in the normal form read off their
-        # observability indices: P row reduced with monic diagonal.
-        code, out, _ = run(capsys, *argv, *CORPUS)
+        # observability indices: P row reduced with monic diagonal. README's
+        # iosystem IO and latent L come from a file of their own.
+        readme = tmp_path / "readme.ag"
+        readme.write_text(README_SYSTEMS)
+        files = (str(readme), *CORPUS)
+        code, out, _ = run(capsys, *argv, *files)
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "command: " + " ".join(argv) and lines[-1].startswith("elapsed: ")
         assert "\n".join(lines[1:-1]) == text
-        code, out, _ = run(capsys, *argv, "--format", "json", *CORPUS)
+        code, out, _ = run(capsys, *argv, "--format", "json", *files)
         obj = json.loads(out)
         assert code == 0 and {k: obj[k] for k in fields} == fields
 

@@ -12,6 +12,7 @@ from agverify.polyalg import ONE, S, ZERO, Poly, RatFunc, poly_gcd
 from agverify.polymatrix import (
     DimensionError,
     PolyMatrix,
+    SelfCheckError,
     SingularMatrixError,
     _fraction_free,
     block,
@@ -514,7 +515,7 @@ class TestProper:
 def test_smith_decomposition_rejects_broken_chain():
     from agverify.polymatrix import SmithDecomposition
 
-    with pytest.raises(ValueError):
+    with pytest.raises(SelfCheckError):
         SmithDecomposition(
             U=PolyMatrix.identity(2),
             V=PolyMatrix.identity(2),
