@@ -68,18 +68,19 @@ def implements(sys: IoSystem | StateSpace, c: Contract) -> Verdict:
     """Does the system satisfy the contract?
 
     Holds iff the system's output behavior under assumption-compatible inputs
-    is contained in the guarantees. State-space systems are converted to
-    input-output form first; systems not in input-output form are rejected.
+    is contained in the guarantees. The system's dimensions must match the
+    contract's; then state-space systems are converted to input-output form,
+    and systems not in input-output form are rejected.
     """
-    if isinstance(sys, StateSpace):
-        sys = statespace_to_io(sys)
-    elif not check_io_form(sys):
-        raise IoFormError("system is not in input-output form")
     if sys.m != c.input_dim or sys.p != c.output_dim:
         raise DimensionError(
             f"system is {sys.m}-input {sys.p}-output, contract expects "
             f"{c.input_dim}-input {c.output_dim}-output"
         )
+    if isinstance(sys, StateSpace):
+        sys = statespace_to_io(sys)
+    elif not check_io_form(sys):
+        raise IoFormError("system is not in input-output form")
     constrained = interconnect(c.assumptions, sys)
     guarantees = c.guarantees.with_signal_labels(constrained.signal_labels)
     return behavior_included(constrained, guarantees, "guarantees")

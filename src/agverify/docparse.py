@@ -47,7 +47,7 @@ from fractions import Fraction
 
 from .behavior import IoSystem, KernelRep, LatentRep, StateSpace
 from .contracts import Contract
-from .polyalg import Poly
+from .polyalg import Poly, _coeff_text
 from .polymatrix import PolyMatrix
 
 
@@ -523,7 +523,7 @@ def contract_document(name: str, c: Contract) -> Document:
 
 def poly_coeffs(p: Poly) -> list[str]:
     """Coefficients in ascending powers as exact fraction strings."""
-    return [str(c) for c in p.coeffs]
+    return [_coeff_text(c, p.den) for c in p.num]
 
 
 def matrix_coeffs(M: PolyMatrix) -> list[list[list[str]]]:
@@ -536,9 +536,7 @@ def parse_matrix_text(text: str, source: str = "<matrix>") -> PolyMatrix:
     rows = parser.parse_matrix()
     parser.expect("EOF", "end of input")
     if not rows:
-        raise DimensionInconsistencyError(
-            f"{source}: empty matrix literal has unknown column count"
-        )
+        raise parser.error("empty matrix literal has unknown column count", parser.tokens[0])
     parser.cap("matrix row count", len(rows), parser.tokens[0])
     parser.cap("matrix column count", len(rows[0]), parser.tokens[0])
     return PolyMatrix(rows)

@@ -7,7 +7,9 @@ matrix layer (`polymatrix`) depends on this for divisibility tests,
 singularity detection and canonical forms. Division is a pseudo-division of
 the integer numerators (`_pseudo_divmod`), which `polymatrix.row_echelon`
 also runs directly on integer coefficient lists, without building a `Poly`.
-A `Poly` divides only by a scalar; `divmod` divides by a polynomial.
+A `Poly` divides only by a scalar; `divmod` divides by a polynomial. The
+text of a polynomial, and of each coefficient (`_coeff_text`), is printed from
+the integer numerators and the denominator, without a `Fraction`.
 
 `RatFunc`, `poly_gcd` and `poly_lcm` take no part in any decision: every
 decision stays in Q[s]. `poly_gcd` and `poly_lcm` are an independent
@@ -241,21 +243,21 @@ class Poly:
         return not self.is_zero
 
     def __str__(self) -> str:
-        coeffs = self.coeffs
-        if not coeffs:
+        num, den = self.num, self.den
+        if not num:
             return "0"
         parts: list[str] = []
-        for k in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[k]
-            if c == 0:
+        for k in range(len(num) - 1, -1, -1):
+            c = num[k]
+            if not c:
                 continue
             sign = "-" if c < 0 else "+"
             a = abs(c)
             if k == 0:
-                body = str(a)
+                body = _coeff_text(a, den)
             else:
                 svar = "s" if k == 1 else f"s^{k}"
-                body = svar if a == 1 else f"{a}*{svar}"
+                body = svar if a == den else f"{_coeff_text(a, den)}*{svar}"
             if not parts:
                 parts.append(body if sign == "+" else f"-{body}")
             else:
@@ -287,6 +289,13 @@ def _poly(num: list[int], den: int) -> Poly:
     _set_num(p, tuple(num))
     _set_den(p, den)
     return p
+
+
+def _coeff_text(c: int, den: int) -> str:
+    """``c / den`` in lowest terms, as ``str(Fraction(c, den))`` prints it:
+    ``a`` or ``a/b``, for ``den > 0``."""
+    g = gcd(c, den)
+    return str(c // g) if g == den else f"{c // g}/{den // g}"
 
 
 def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:

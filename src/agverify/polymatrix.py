@@ -1,8 +1,10 @@
 """Matrices over Q[s]: arithmetic, determinants, generic rank, row echelon
 form and the Smith canonical form.
 
-Everything is exact, and no rational function is ever formed. Two
-eliminations do all the work in Q[s]. A fraction-free (Bareiss) elimination
+Everything is exact, and no rational function is ever formed. A product
+computes each entry as one integer convolution over a running common
+denominator, and builds one `Poly` per entry. Two eliminations do all the
+work in Q[s]. A fraction-free (Bareiss) elimination
 backs the determinant, the generic rank, the properness test and the Cramer
 solve of `behavior.behavior_included`, so none of them leaves the polynomial
 ring. It runs on Python integers: each row is scaled to integer coefficients
@@ -158,17 +160,36 @@ class PolyMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.shape_str()} by {other.shape_str()}")
+        columns = list(zip(*other.entries)) if other.rows else [()] * other.cols
         out = []
         for row in self.entries:
             out_row = []
-            for j in range(other.cols):
-                acc = ZERO
-                for a, other_row in zip(row, other.entries):
-                    if not a.is_zero:
-                        b = other_row[j]
-                        if not b.is_zero:
-                            acc = acc + a * b
-                out_row.append(acc)
+            for col in columns:
+                # One integer convolution over a running denominator `den`.
+                acc: list[int] = []
+                den = 1
+                for a, b in zip(row, col):
+                    an, bn = a.num, b.num
+                    if not an or not bn:
+                        continue
+                    e = a.den * b.den
+                    if e != den:
+                        L = lcm(den, e)
+                        if L != den:
+                            f = L // den
+                            acc = [c * f for c in acc]
+                            den = L
+                        if L != e:
+                            g = L // e
+                            an = [c * g for c in an]
+                    n = len(an) + len(bn) - 1
+                    if len(acc) < n:
+                        acc.extend([0] * (n - len(acc)))
+                    for i, ca in enumerate(an):
+                        if ca:
+                            for j, cb in enumerate(bn, i):
+                                acc[j] += ca * cb
+                out_row.append(_poly(acc, den))
             out.append(out_row)
         return PolyMatrix(out, cols=other.cols)
 

@@ -269,6 +269,37 @@ def numeric_full_row_rank(M: PolyMatrix, rng: random.Random, tries: int = 4) -> 
     return False
 
 
+def matmul_reference(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
+    """A * B as a sum of `Poly` products, one `Poly` per term."""
+    assert A.cols == B.rows
+    return PolyMatrix(
+        [[sum((A[i, t] * B[t, j] for t in range(A.cols)), ZERO) for j in range(B.cols)]
+         for i in range(A.rows)],
+        cols=B.cols,
+    )
+
+
+def poly_text_reference(p: Poly) -> str:
+    """The text of `Poly.__str__`, printed from the `Fraction` coefficients."""
+    coeffs = p.coeffs
+    parts: list[str] = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c == 0:
+            continue
+        a = abs(c)
+        if k == 0:
+            body = str(a)
+        else:
+            svar = "s" if k == 1 else f"s^{k}"
+            body = svar if a == 1 else f"{a}*{svar}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f" {'-' if c < 0 else '+'} {body}")
+    return "".join(parts) or "0"
+
+
 # ---------------------------------------------------------------------------
 # Random instance generators (all driven by an explicit seeded Random)
 # ---------------------------------------------------------------------------

@@ -188,7 +188,7 @@ class TestExitCodes:
              "{f}:1:19: signal dimension must be at least 1"),
             ("foo K {}", ("include", "K", "K"), "{f}:1:1: unknown definition kind 'foo'"),
             ("# only a comment\n", ("include", "K", "K"), "{f}:2:1: empty document"),
-            (OTHER_CONTRACTS, ("smith", "[]"), "<matrix>: empty matrix literal has unknown column count"),
+            (OTHER_CONTRACTS, ("smith", "[]"), "<matrix>:1:1: empty matrix literal has unknown column count"),
             (OTHER_CONTRACTS, ("implements", "S", "Cx"),
              "system is 2-input 1-output, contract expects 1-input 1-output"),
             (OTHER_CONTRACTS, ("refines", "Cx", "C"), "contracts have different input/output dimensions"),

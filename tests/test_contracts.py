@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from agverify import contracts
 from agverify.behavior import (
     InclusionWitness,
     IoSystem,
@@ -24,7 +25,7 @@ from agverify.contracts import (
     refines,
 )
 from agverify.polyalg import ONE, S, ZERO, poly_gcd, poly_lcm
-from agverify.polymatrix import PolyMatrix
+from agverify.polymatrix import DimensionError, PolyMatrix
 from support import random_matrix, random_poly
 
 U2 = (("u", 2),)
@@ -89,6 +90,20 @@ class TestImplements:
         differentiator = IoSystem(PolyMatrix([[ONE]]), PolyMatrix([[S, ZERO]]))
         with pytest.raises(IoFormError):
             implements(differentiator, C)
+
+    def test_dimensions_checked_before_conversion(self, monkeypatch):
+        def fail(system):
+            raise AssertionError("converted before the dimension check")
+
+        monkeypatch.setattr(contracts, "statespace_to_io", fail)
+        monkeypatch.setattr(contracts, "check_io_form", fail)
+        single_input = Contract(kern([[S + 1]], U1), G)
+        # SYS, and a 2-input system not in input-output form.
+        differentiator = IoSystem(PolyMatrix([[ONE]]), PolyMatrix([[S, ZERO]]))
+        for system in (SYS, differentiator):
+            with pytest.raises(DimensionError) as exc:
+                implements(system, single_input)
+            assert str(exc.value) == "system is 2-input 1-output, contract expects 1-input 1-output"
 
 
 class TestRefines:

@@ -6,7 +6,9 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from agverify.docparse import poly_coeffs
 from agverify.polyalg import NEG_INF, ONE, S, ZERO, Poly, RatFunc, poly_gcd, poly_lcm
+from support import poly_text_reference
 
 coeffs = st.lists(st.integers(min_value=-6, max_value=6), max_size=5)
 polys = coeffs.map(Poly)
@@ -14,6 +16,15 @@ nonzero_polys = polys.filter(lambda p: not p.is_zero)
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=9)
 rational_lists = st.lists(rationals, max_size=5)
+# Coefficients that reduce against a shared denominator, that are ±1, and
+# that run far above a machine word.
+text_coeffs = st.one_of(
+    st.sampled_from((0, 1, -1, Fraction(1, 2), Fraction(-2, 3))),
+    rationals,
+    st.builds(Fraction, st.integers(min_value=-2**70, max_value=2**70),
+              st.integers(min_value=1, max_value=10**9 + 7)),
+)
+text_polys = st.lists(text_coeffs, max_size=6).map(Poly)
 
 
 # Reference arithmetic on plain Fraction lists (ascending powers).
@@ -79,6 +90,11 @@ class TestPolyBasics:
         assert str(ZERO) == "0"
         assert str(-S) == "-s"
         assert str(Poly([0, 0, -1])) == "-s^2"
+
+    @given(text_polys)
+    def test_str_matches_fraction_text(self, p):
+        assert str(p) == poly_text_reference(p)
+        assert poly_coeffs(p) == [str(c) for c in p.coeffs]
 
 
 class TestDivmod:

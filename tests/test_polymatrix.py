@@ -31,6 +31,7 @@ from support import (
     eval_matrix,
     evaluation_rank,
     fraction_rank,
+    matmul_reference,
     random_matrix,
     random_unimodular,
     row_echelon_reference,
@@ -163,6 +164,18 @@ def product_pairs(draw):
     return draw(poly_matrices(m, k)), draw(poly_matrices(k, n))
 
 
+@st.composite
+def rational_product_pairs(draw):
+    """(A, B) of shapes m x k and k x n, each of m, k, n from 0 to 4, with
+    entries of degree at most 3 whose coefficients mix denominators and
+    run above 2^64."""
+    wide = st.builds(Fraction, st.integers(min_value=-2**80, max_value=2**80),
+                     st.integers(min_value=1, max_value=10**9 + 7))
+    coeff = st.one_of(st.just(0), rationals(2**80), wide)
+    m, k, n = (draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
+    return draw(poly_matrices(m, k, 3, coeff)), draw(poly_matrices(k, n, 3, coeff))
+
+
 class TestArithmetic:
     def test_identity_multiplication(self):
         X = PolyMatrix([[S, 1], [2, S**2]])
@@ -213,6 +226,12 @@ class TestArithmetic:
             want = [[sum(a[i][t] * b[t][j] for t in range(A.cols)) for j in range(B.cols)]
                     for i in range(A.rows)]
             assert eval_matrix(AB, x) == want
+
+    @settings(deadline=None)
+    @given(rational_product_pairs())
+    def test_product_matches_reference(self, pair):
+        A, B = pair
+        assert A * B == matmul_reference(A, B)
 
 
 class TestDeterminant:
