@@ -103,10 +103,6 @@ class KernelRep:
         """Same matrix over a relabeled signal space of equal dimension."""
         return KernelRep(self.R, labels)
 
-    def __repr__(self) -> str:
-        sig = ", ".join(f"{n}:{d}" for n, d in self.signal_labels)
-        return f"KernelRep({self.R} over {sig})"
-
 
 @dataclass(frozen=True, slots=True)
 class LatentRep:
@@ -126,9 +122,6 @@ class LatentRep:
     @property
     def latent_dim(self) -> int:
         return self.latent_map.cols
-
-    def __repr__(self) -> str:
-        return f"LatentRep({self.manifest} = {self.latent_map} * latent)"
 
 
 def _constant_matrix(M: PolyMatrix, what: str) -> PolyMatrix:
@@ -195,9 +188,6 @@ class StateSpace:
     def p(self) -> int:
         return self.C.rows
 
-    def __repr__(self) -> str:
-        return f"StateSpace(A={self.A}, B={self.B}, C={self.C}, D={self.D})"
-
 
 @dataclass(frozen=True, slots=True)
 class IoSystem:
@@ -227,9 +217,6 @@ class IoSystem:
     def kernel(self) -> KernelRep:
         """Kernel representation [-Q  P] over the stacked (u, y) signals."""
         return KernelRep(hstack(-self.Q, self.P), _io_labels(self.m, self.p))
-
-    def __repr__(self) -> str:
-        return f"IoSystem(P={self.P}, Q={self.Q})"
 
 
 @dataclass(frozen=True)

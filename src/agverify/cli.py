@@ -37,11 +37,10 @@ from .behavior import (
     statespace_to_io,
     statespace_to_kernel,
 )
-from .contracts import Contract, IoFormError, conjunction, env_compatible, implements, refines
+from .contracts import Contract, conjunction, env_compatible, implements, refines
 from .docparse import (
     Definition,
     Document,
-    DocumentError,
     contract_document,
     format_definition,
     format_document,
@@ -277,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ArithmeticError, RuntimeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (DocumentError, IoFormError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     report.elapsed = time.perf_counter() - start

@@ -1,4 +1,4 @@
-"""Exact univariate polynomial and rational-function arithmetic over Q.
+"""Exact univariate polynomial arithmetic over Q.
 
 A polynomial holds integer numerators over one positive integer denominator,
 so arithmetic is exact (zero tests are genuine decisions, not tolerance
@@ -13,9 +13,10 @@ the integer numerators and the denominator, without a `Fraction`.
 
 `RatFunc`, `poly_gcd` and `poly_lcm` take no part in any decision: every
 decision stays in Q[s]. `poly_gcd` and `poly_lcm` are an independent
-reference for the tests of the matrix and contract layers. `RatFunc` is
-read only by its own tests and by the benchmark tracer in ``perfbench/``,
-which counts its constructions.
+reference for the tests of the matrix and contract layers. `RatFunc` has no
+arithmetic: it keeps only its normalising constructor and `is_proper`, for
+its own tests and for the benchmark tracer in ``perfbench/``, which counts
+its constructions.
 
 Conventions:
 
@@ -33,6 +34,7 @@ exactness guarantee.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -51,6 +53,7 @@ def _frac(x: Scalar) -> Fraction:
     raise TypeError(f"exact coefficient expected (int or Fraction), got {type(x).__name__}")
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
 class Poly:
     """Univariate polynomial in ``s`` with rational coefficients.
 
@@ -63,8 +66,6 @@ class Poly:
         Poly([Fraction(1, 2), 1])    # s + 1/2: num (1, 2), den 2
         Poly([])                     # the zero polynomial
     """
-
-    __slots__ = ("num", "den")
 
     num: tuple[int, ...]
     den: int
@@ -89,9 +90,6 @@ class Poly:
         # with it, so the form is already canonical.
         _set_num(self, tuple(num))
         _set_den(self, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     # -- basic queries ----------------------------------------------------
 
@@ -230,6 +228,8 @@ class Poly:
 
     # -- value protocol -----------------------------------------------------
 
+    # Equality and hashing are written out, not generated, because a
+    # constant polynomial compares equal to the scalar it holds.
     def __eq__(self, other) -> bool:
         other = _as_poly(other)
         if other is NotImplemented:
@@ -381,10 +381,9 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
     return ((a * b) // poly_gcd(a, b)).monic()
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class RatFunc:
     """A rational function num/den, stored reduced with a monic denominator."""
-
-    __slots__ = ("num", "den")
 
     num: Poly
     den: Poly
@@ -408,91 +407,7 @@ class RatFunc:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
     @property
     def is_proper(self) -> bool:
         """Denominator degree >= numerator degree (zero counts as proper)."""
         return self.den.degree >= self.num.degree
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den == ONE
-
-    def __add__(self, other) -> "RatFunc":
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other) -> "RatFunc":
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "RatFunc":
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> "RatFunc":
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RatFunc":
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> "RatFunc":
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __eq__(self, other) -> bool:
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash(("RatFunc", self.num, self.den))
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    def __str__(self) -> str:
-        if self.is_polynomial:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self) -> str:
-        return f"RatFunc({self})"
-
-
-def _as_ratfunc(x) -> "RatFunc":
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, (Poly, int, Fraction)):
-        return RatFunc(x)
-    return NotImplemented

@@ -52,14 +52,13 @@ def _coerce_entry(x) -> Poly:
     return p
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class PolyMatrix:
     """Immutable rows x cols matrix of `Poly` entries.
 
     ``cols`` must be given explicitly when constructing a matrix with zero
     rows; every other shape is inferred from the entry grid.
     """
-
-    __slots__ = ("rows", "cols", "entries")
 
     rows: int
     cols: int
@@ -83,9 +82,6 @@ class PolyMatrix:
         object.__setattr__(self, "rows", len(grid))
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "entries", grid)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyMatrix is immutable")
 
     # -- constructors -------------------------------------------------------
 
@@ -205,14 +201,6 @@ class PolyMatrix:
         )
 
     # -- value protocol ----------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
 
     def __str__(self) -> str:
         # The text format has no empty row, so a matrix without columns
@@ -501,18 +489,19 @@ class SmithDecomposition:
     U and V are unimodular; the invariant factors are monic, nonzero and each
     divides the next. ``U_inv`` and ``V_inv`` are the (polynomial) inverses of
     U and V, so U_inv * R * V_inv is the middle factor.
+
+    Construction checks the invariant factors and that U * U_inv and
+    V_inv * V are identities, and raises `SelfCheckError` otherwise. R is not
+    stored, so U_inv * R * V_inv is left to the caller to check.
     """
 
     U: PolyMatrix
     V: PolyMatrix
     invariant_factors: tuple[Poly, ...]
-    rank: int
     U_inv: PolyMatrix
     V_inv: PolyMatrix
 
     def __post_init__(self):
-        if self.rank != len(self.invariant_factors):
-            raise SelfCheckError("rank does not match the number of invariant factors")
         prev: Poly | None = None
         for d in self.invariant_factors:
             if d.is_zero or d.lc != 1:
@@ -520,6 +509,14 @@ class SmithDecomposition:
             if prev is not None and not prev.divides(d):
                 raise SelfCheckError("invariant factor divisibility chain broken")
             prev = d
+        if self.U * self.U_inv != PolyMatrix.identity(self.U.rows):
+            raise SelfCheckError("U_inv is not the inverse of U")
+        if self.V_inv * self.V != PolyMatrix.identity(self.V.rows):
+            raise SelfCheckError("V_inv is not the inverse of V")
+
+    @property
+    def rank(self) -> int:
+        return len(self.invariant_factors)
 
     def canonical_form(self) -> PolyMatrix:
         """The middle factor [diag(d_1..d_r) 0; 0 0], shaped rows(U) x cols(V)."""
@@ -590,7 +587,6 @@ def smith_form(R: PolyMatrix) -> SmithDecomposition:
         U=inverse(U_inv),
         V=inverse(V_inv_t).transpose(),
         invariant_factors=tuple(factors),
-        rank=len(factors),
         U_inv=U_inv,
         V_inv=V_inv,
     )

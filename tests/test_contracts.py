@@ -55,6 +55,15 @@ SYS = StateSpace.from_lists([[0, 1], [0, 0]], [[1, -1], [1, -1]], [[1, 0]], [[1,
 SYS0 = StateSpace.from_lists([[0, 1], [0, 0]], [[-1, 1], [-1, 2]], [[1, 0]], [[0, 1]])
 
 
+@pytest.mark.parametrize(
+    "value, attribute",
+    [(C, "guarantees"), (A, "R"), (SYS, "A"), (statespace_to_io(SYS), "P")],
+)
+def test_value_types_reject_assignment(value, attribute):
+    with pytest.raises(AttributeError):
+        setattr(value, attribute, getattr(value, attribute))
+
+
 class TestEnvCompatible:
     def test_assumptions_are_compatible_with_themselves(self):
         assert env_compatible(A, C).holds

@@ -412,3 +412,18 @@ def test_import_loads_no_unused_modules():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     )
     assert result.stdout == "[]\n"
+
+
+def test_import_loads_only_the_standard_library():
+    # The README promises no runtime dependencies outside the standard
+    # library; the CLI is what a user runs, so it is imported as well.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import agverify, agverify.cli; "
+        "print(sorted(m for m in set(sys.modules) - {'__main__'} "
+        "if m.partition('.')[0] not in sys.stdlib_module_names | {'agverify'}))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"

@@ -96,6 +96,13 @@ class TestPolyBasics:
         assert str(p) == poly_text_reference(p)
         assert poly_coeffs(p) == [str(c) for c in p.coeffs]
 
+    def test_value_semantics(self):
+        assert Poly([3]) == 3 and Poly([Fraction(1, 2)]) == Fraction(1, 2)
+        assert Poly([1, 1]) == S + 1 and hash(Poly([1, 1])) == hash(S + 1)
+        assert repr(S + 1) == "Poly(s + 1)"
+        with pytest.raises(AttributeError):
+            S.num = (1,)
+
 
 class TestDivmod:
     def test_basic(self):
@@ -294,12 +301,13 @@ class TestRatFunc:
         if not f.num.is_zero:
             assert poly_gcd(f.num, f.den) == ONE
 
-    def test_arithmetic(self):
-        a = RatFunc(ONE, S)
-        b = RatFunc(ONE, S + 1)
-        assert a + b == RatFunc(2 * S + 1, S * (S + 1))
-        assert a * b == RatFunc(ONE, S * (S + 1))
-        assert a / b == RatFunc(S + 1, S)
+    def test_value_semantics(self):
+        f = RatFunc(2 * S + 2, 2 * S)
+        g = RatFunc(S + 1, S)
+        assert f == g and hash(f) == hash(g)
+        assert f != RatFunc(S + 2, S)
+        with pytest.raises(AttributeError):
+            f.num = ONE
 
 
 def test_lcm():

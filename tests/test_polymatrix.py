@@ -1,6 +1,7 @@
 """Polynomial-matrix layer: arithmetic, determinant, rank, Smith form, properness."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -207,6 +208,15 @@ class TestArithmetic:
         I = PolyMatrix.identity(1)
         b = block([[I, I], [PolyMatrix([[S]]), PolyMatrix.zeros(1, 1)]])
         assert b == PolyMatrix([[1, 1], [S, 0]])
+
+    def test_value_semantics(self):
+        M = PolyMatrix([[S, 1]])
+        assert M == PolyMatrix([[S, ONE]]) and hash(M) == hash(PolyMatrix([[S, ONE]]))
+        assert M != PolyMatrix([[S, 2]])
+        assert PolyMatrix([], cols=1) != PolyMatrix([], cols=2)
+        assert repr(M) == "PolyMatrix([[s, 1]])"
+        with pytest.raises(AttributeError):
+            M.rows = 2
 
     def test_transpose(self):
         assert PolyMatrix([[S, 1]]).transpose() == PolyMatrix([[S], [1]])
@@ -539,7 +549,16 @@ def test_smith_decomposition_rejects_broken_chain():
             U=PolyMatrix.identity(2),
             V=PolyMatrix.identity(2),
             invariant_factors=(S**2, S),
-            rank=2,
             U_inv=PolyMatrix.identity(2),
             V_inv=PolyMatrix.identity(2),
         )
+
+
+@pytest.mark.parametrize("side", ["U", "V"])
+def test_smith_decomposition_rejects_wrong_transform(side):
+    sd = smith_form(PolyMatrix([[S**2 + S + 1, -S - 1], [-S - 1, S**2 + S + 2]]))
+    wrong = getattr(sd, side) * PolyMatrix.diag([1, S + 1])
+    with pytest.raises(AttributeError):  # frozen: checked once, at construction
+        setattr(sd, side, wrong)
+    with pytest.raises(SelfCheckError, match="is not the inverse of " + side):
+        replace(sd, **{side: wrong})
