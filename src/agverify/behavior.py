@@ -16,12 +16,13 @@ Systems*, 1980, sec. 6.4): one integer scan of relation rows, each a
 derivative of one output as a state part and an input part, reduces the
 state parts, and the first dependence of each output sums the input parts of
 the rows it involves into one row of P y = Q u, with one row per output and
-P row reduced. Inclusion solves the multiplier by Cramer's rule with one
-fraction-free (Bareiss) pass, dropping the source rows that are polynomial
-combinations of its pivot rows, and reduces the source with `row_echelon`
-only when some dependent row is not. Every decision stays in Q[s]:
-`check_io_form` reads properness of P^-1 Q off Cramer numerators, and no
-transfer matrix or other rational function is ever formed.
+P row reduced. Inclusion solves the multiplier by Cramer's rule in one
+fraction-free (Bareiss) pass (`polymatrix._left_quotient`), dropping the
+source rows that are polynomial combinations of its pivot rows, and reduces
+the source with `row_echelon` only when some dependent row is not. Every
+decision stays in Q[s]: `check_io_form` reads properness of P^-1 Q off
+Cramer numerators, and no transfer matrix or other rational function is
+ever formed.
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ from itertools import zip_longest
 from math import gcd, lcm
 from operator import mul
 
-from .polyalg import ZERO, Poly, Scalar, _frac, _poly
+from .polyalg import Poly, Scalar, _frac, _poly
 from .polymatrix import (
     DimensionError,
     PolyMatrix,
     SelfCheckError,
     SingularMatrixError,
-    _fraction_free,
+    _left_quotient,
     hstack,
     is_proper,
     rank_generic,
@@ -65,6 +66,11 @@ def _signals(labels: Iterable) -> Signals:
             raise ValueError(f"signal block must be (name, positive dim), got {item!r}")
         out.append((name, dim))
     return tuple(out)
+
+
+def _same_signals(a: KernelRep, b: KernelRep) -> None:
+    if a.signal_labels != b.signal_labels:
+        raise SignalSpaceError(f"signal spaces differ: {a.signal_labels} vs {b.signal_labels}")
 
 
 def signal_dim(labels: Signals) -> int:
@@ -422,52 +428,6 @@ def check_io_form(sys: IoSystem) -> bool:
         return False
 
 
-def _left_quotient(src: Sequence[Sequence[Poly]], target: PolyMatrix) -> PolyMatrix | str | None:
-    """A polynomial M with M * src = target, by Cramer's rule.
-
-    One fraction-free Gauss-Jordan pass on [src^T | target^T] scans the
-    columns of src^T. Those that get a pivot are the pivot rows J of src,
-    the first independent ones; the others are its dependent rows D. The
-    pass pivots in the columns C of src, and its last pivot is
-    d = +-det src_J on C. Its top rows hold d * X, for X the coefficients
-    of the rows of D and of target on the rows of J. Its rows below hold
-    the minors that border src_J with another column of src and a row of
-    target, which all vanish iff every row of target is a rational
-    combination of src_J. When d divides the coefficients of every row of
-    D, src and src_J have the same row module, so M exists iff the unique
-    multiplier of src_J is polynomial, that is iff d divides every
-    numerator; M then has a zero column for each row of D. Returns the
-    reason when no polynomial M exists, and None when a row of D is no
-    polynomial combination of src_J, which leaves the question open.
-    """
-    r, n = len(src), target.cols
-    g = [[row[j] for row in src] + [row[j] for row in target.entries] for j in range(n)]
-    pivots, _, d, right, order = _fraction_free(g, r)
-    rank = len(pivots)
-    dropped = r - rank
-    for row, j in zip(right[rank:], order[rank:]):
-        for k, e in enumerate(row[dropped:]):
-            if not e.is_zero:
-                return (
-                    f"no polynomial multiplier exists: row {k} is not a rational combination of "
-                    f"the source rows in source column {j} (bordered minor {e})"
-                )
-    if not all(d.divides(e) for row in right[:rank] for e in row[:dropped]):
-        return None
-    M = [[ZERO] * r for _ in range(target.rows)]
-    for k, out in enumerate(M):
-        for i, c in enumerate(pivots):
-            e = right[i][dropped + k]
-            quot, rem = divmod(e, d)
-            if not rem.is_zero:
-                return (
-                    f"multiplier is not polynomial: entry ({k}, {c}) requires dividing {e} by "
-                    f"the pivot {d} in source columns {sorted(order[:rank])}, remainder {rem}"
-                )
-            out[c] = quot
-    return PolyMatrix(M, cols=r)
-
-
 def behavior_included(r1: KernelRep, r2: KernelRep, label: str = "inclusion") -> Verdict:
     """Decide ker r1 contained-in ker r2, with a multiplier certificate
     carrying ``label``.
@@ -487,10 +447,7 @@ def behavior_included(r1: KernelRep, r2: KernelRep, label: str = "inclusion") ->
     of this procedure. On failure the diagnostic names the first offending
     entry, by its row of r2.R and its row of r1.R.
     """
-    if r1.signal_labels != r2.signal_labels:
-        raise SignalSpaceError(
-            f"signal spaces differ: {r1.signal_labels} vs {r2.signal_labels}"
-        )
+    _same_signals(r1, r2)
     n, m = r1.R.cols, r1.R.rows
     M = _left_quotient(r1.R.entries, r2.R)
     if M is None:

@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
-from pathlib import Path
 
 from .behavior import (
     InclusionWitness,
@@ -96,6 +94,7 @@ class Report:
         return "\n".join(lines)
 
     def render_json(self, quiet: bool = False) -> str:
+        import json  # only this format needs it, so a text report does not load it
         obj = {
             "command": self.command,
             "arguments": list(self.arguments),
@@ -175,7 +174,8 @@ def _conjoin(report: Report, args, doc, c1: Contract, c2: Contract) -> None:
         # rendered, so an unprintable conjunction writes nothing.
         text = format_document(document)
         if args.out:
-            Path(args.out).write_text(text)
+            with open(args.out, "w") as f:
+                f.write(text)
             section = ("written", args.out)
         else:
             section = ("contract", "\n" + text.rstrip())
@@ -264,10 +264,10 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         sources = []
-        for f in args.files:
-            path = Path(f)
+        for path in args.files:
             try:
-                sources.append((str(path), path.read_text()))
+                with open(path) as f:
+                    sources.append((path, f.read()))
             except OSError as exc:
                 print(f"error: cannot read {path}: {exc}", file=sys.stderr)
                 return EXIT_ERROR

@@ -24,9 +24,9 @@ from .behavior import (
     IoSystem,
     KernelRep,
     LatentRep,
-    SignalSpaceError,
     StateSpace,
     Verdict,
+    _same_signals,
     behavior_included,
     check_io_form,
     eliminate_latent,
@@ -34,7 +34,7 @@ from .behavior import (
     minimal_kernel,
     statespace_to_io,
 )
-from .polymatrix import DimensionError, PolyMatrix, block, vstack
+from .polymatrix import DimensionError, PolyMatrix, vstack
 
 
 class IoFormError(ValueError):
@@ -108,33 +108,22 @@ def join_assumptions(a1: KernelRep, a2: KernelRep) -> KernelRep:
     """Assumptions admitting exactly the sums u = l1 + l2 of trajectories
     admitted by a1 and a2 respectively.
 
-    Built as a latent representation over (l1, l2) and eliminated:
-        [I I; A1 0; 0 A2] (l1; l2) = (I; 0; 0) u
+    Writing u = l + (u - l), u is such a sum iff some l has A1 l = 0 and
+    A2 (u - l) = 0. That is a latent representation with one copy of u
+    (Polderman & Willems, *Introduction to Mathematical Systems Theory*,
+    1998), which is eliminated:
+        [A1; A2] l = [0; A2] u
     """
-    if a1.signal_labels != a2.signal_labels:
-        raise SignalSpaceError(
-            f"signal spaces differ: {a1.signal_labels} vs {a2.signal_labels}"
-        )
-    m = a1.dim
-    I = PolyMatrix.identity(m)
-    manifest = vstack(I, PolyMatrix.zeros(a1.R.rows, m), PolyMatrix.zeros(a2.R.rows, m))
-    latent = block(
-        [
-            [I, I],
-            [a1.R, PolyMatrix.zeros(a1.R.rows, m)],
-            [PolyMatrix.zeros(a2.R.rows, m), a2.R],
-        ]
-    )
+    _same_signals(a1, a2)
+    manifest = vstack(PolyMatrix.zeros(a1.R.rows, a1.dim), a2.R)
+    latent = vstack(a1.R, a2.R)
     return eliminate_latent(LatentRep(manifest, latent, a1.signal_labels))
 
 
 def meet_guarantees(g1: KernelRep, g2: KernelRep) -> KernelRep:
     """Guarantees admitting exactly the trajectories admitted by both g1 and
     g2: stack the two kernels and minimize."""
-    if g1.signal_labels != g2.signal_labels:
-        raise SignalSpaceError(
-            f"signal spaces differ: {g1.signal_labels} vs {g2.signal_labels}"
-        )
+    _same_signals(g1, g2)
     return minimal_kernel(KernelRep(vstack(g1.R, g2.R), g1.signal_labels))
 
 

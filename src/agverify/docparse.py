@@ -24,9 +24,10 @@ carriage returns are one column each.
 The exponent after "^" is at most `MAX_EXPONENT`, an integer has at most
 `MAX_DIGITS` digits, and the dimensions of a varlist add up to at most
 `MAX_DIMENSION`. The matrix A of a statespace, the matrix P of an iosystem
-and the matrix R of a kernel have at most `MAX_DIMENSION` rows, and a bare
-matrix literal (`parse_matrix_text`) at most `MAX_DIMENSION` rows and
-columns.
+and the matrix R of a kernel have at most `MAX_DIMENSION` rows, the inputs
+and outputs of a statespace or an iosystem add up to at most
+`MAX_DIMENSION`, and a bare matrix literal (`parse_matrix_text`) has at most
+`MAX_DIMENSION` rows and columns.
 
 In a statespace a matrix written ``[]`` is empty and takes the shape the
 others imply (`StateSpace.from_lists`), so ``A [] B [] C [] D [[2, 1]]`` is
@@ -62,8 +63,9 @@ MAX_EXPONENT = 1000
 # lower, that limit applies instead.
 MAX_DIGITS = 4300
 
-# Largest total dimension of the signals in a ``vars`` list, largest state
-# dimension of a ``statespace``, largest row count of a kernel's R, and
+# Largest total dimension of the signals in a ``vars`` list and of the inputs
+# and outputs of a system (``eliminate`` prints them as one list), largest
+# state dimension of a ``statespace``, largest row count of a kernel's R, and
 # largest row or column count of a bare matrix literal. Several steps build
 # an identity of the signal dimension, state elimination scans up to n rows
 # of n entries, and the Smith form and inclusion reduce every row and column
@@ -352,7 +354,9 @@ class _Parser:
         A = self.field_matrix("A")
         self.cap("state dimension", A.rows, tok)
         B, C, D = (self.field_matrix(keyword) for keyword in "BCD")
-        return StateSpace.from_lists(A.entries, B.entries, C.entries, D.entries)
+        s = StateSpace.from_lists(A.entries, B.entries, C.entries, D.entries)
+        self.cap("inputs plus outputs", s.m + s.p, tok)
+        return s
 
     def parse_iosystem_body(self) -> IoSystem:
         tok = self.peek()
@@ -360,7 +364,9 @@ class _Parser:
         self.cap("output count", P.rows, tok)
         Q = self.field_matrix("Q")
         # Written ``[]``, Q has P's rows and no columns: a system without inputs.
-        return IoSystem(P, Q if Q.rows else PolyMatrix([()] * P.rows, cols=0))
+        system = IoSystem(P, Q if Q.rows else PolyMatrix([()] * P.rows, cols=0))
+        self.cap("inputs plus outputs", system.m + system.p, tok)
+        return system
 
     def parse_kernel_body(self) -> KernelRep:
         self.expect_keyword("vars")

@@ -237,6 +237,8 @@ class Poly:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
+        if len(self.num) <= 1:
+            return hash(Fraction(self.num[0], self.den) if self.num else 0)
         return hash(("Poly", self.num, self.den))
 
     def __bool__(self) -> bool:

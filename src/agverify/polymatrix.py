@@ -4,13 +4,13 @@ form and the Smith canonical form.
 Everything is exact, and no rational function is ever formed. A product
 computes each entry as one integer convolution over a running common
 denominator, and builds one `Poly` per entry. Two eliminations do all the
-work in Q[s]. A fraction-free (Bareiss) elimination
-backs the determinant, the generic rank, the properness test and the Cramer
-solve of `behavior.behavior_included`, so none of them leaves the polynomial
-ring. It runs on Python integers: each row is scaled to integer coefficients
-and each entry replaced by its value at a power of two large enough to read
-the polynomial back (Kronecker substitution), so an update is one
-big-integer expression and builds no `Poly`. `row_echelon` is the reduction
+work in Q[s]. A fraction-free (Bareiss) elimination backs the determinant,
+the generic rank, the properness test and the Cramer solve (`_left_quotient`)
+of `behavior.behavior_included` and `smith_form`, so none of them leaves the
+polynomial ring. It runs on Python integers: each row is scaled to integer
+coefficients and each entry replaced by its value at a power of two large
+enough to read the polynomial back (Kronecker substitution), so an update is
+one big-integer expression and builds no `Poly`. `row_echelon` is the reduction
 behind minimization and latent elimination: unimodular row operations over
 the Euclidean domain Q[s], carrying along whatever columns sit to the right,
 so reducing [R | I] yields the left transform with the echelon form. It runs
@@ -19,8 +19,8 @@ coefficients, each update is one pseudo-division followed by division by the
 row's content, and `Poly` entries are built only when a row is written back.
 `smith_form`, which backs the ``smith`` command, is built from the two: it
 alternates `row_echelon` on the rows and on the columns until the matrix is
-diagonal, and inverts the accumulated unimodular transforms by fraction-free
-Gauss-Jordan passes.
+diagonal, and takes the inverses of the accumulated unimodular transforms
+from the Cramer solve.
 """
 
 from __future__ import annotations
@@ -351,6 +351,52 @@ def _fraction_free(
     return pivots, sign, _unpack(prev, k, s), right, order
 
 
+def _left_quotient(src: Sequence[Sequence[Poly]], target: PolyMatrix) -> PolyMatrix | str | None:
+    """A polynomial M with M * src = target, by Cramer's rule.
+
+    One fraction-free Gauss-Jordan pass on [src^T | target^T] scans the
+    columns of src^T. Those that get a pivot are the pivot rows J of src,
+    the first independent ones; the others are its dependent rows D. The
+    pass pivots in the columns C of src, and its last pivot is
+    d = +-det src_J on C. Its top rows hold d * X, for X the coefficients
+    of the rows of D and of target on the rows of J. Its rows below hold
+    the minors that border src_J with another column of src and a row of
+    target, which all vanish iff every row of target is a rational
+    combination of src_J. When d divides the coefficients of every row of
+    D, src and src_J have the same row module, so M exists iff the unique
+    multiplier of src_J is polynomial, that is iff d divides every
+    numerator; M then has a zero column for each row of D. Returns the
+    reason when no polynomial M exists, and None when a row of D is no
+    polynomial combination of src_J, which leaves the question open.
+    """
+    r, n = len(src), target.cols
+    g = [[row[j] for row in src] + [row[j] for row in target.entries] for j in range(n)]
+    pivots, _, d, right, order = _fraction_free(g, r)
+    rank = len(pivots)
+    dropped = r - rank
+    for row, j in zip(right[rank:], order[rank:]):
+        for k, e in enumerate(row[dropped:]):
+            if not e.is_zero:
+                return (
+                    f"no polynomial multiplier exists: row {k} is not a rational combination of "
+                    f"the source rows in source column {j} (bordered minor {e})"
+                )
+    if not all(d.divides(e) for row in right[:rank] for e in row[:dropped]):
+        return None
+    M = [[ZERO] * r for _ in range(target.rows)]
+    for k, out in enumerate(M):
+        for i, c in enumerate(pivots):
+            e = right[i][dropped + k]
+            quot, rem = divmod(e, d)
+            if not rem.is_zero:
+                return (
+                    f"multiplier is not polynomial: entry ({k}, {c}) requires dividing {e} by "
+                    f"the pivot {d} in source columns {sorted(order[:rank])}, remainder {rem}"
+                )
+            out[c] = quot
+    return PolyMatrix(M, cols=r)
+
+
 def _mul_sub(m: int, x: list[int], q: list[int], y: list[int]) -> list[int]:
     """``m * x - q * y`` for integer coefficient lists, without trailing zeros."""
     out = [m * v for v in x] if m != 1 else list(x)
@@ -550,12 +596,11 @@ def smith_form(R: PolyMatrix) -> SmithDecomposition:
     d_i by gcd(d_i, d_(i+1)) while d_1 .. d_(i-1) stay. Every repair thus
     lowers the degree of a pivot without touching the ones before it, so the
     loop ends. The diagonal is unique; the transforms are not. U and V are
-    the inverses of the unimodular U_inv and V_inv, each from one
-    fraction-free Gauss-Jordan pass (`_fraction_free`) on [W | I], which
-    leaves d * W^-1 in the right block for the constant last pivot d. V is
-    taken as the transpose of the inverse of V_inv^T, whose rows, like those
-    of U_inv, are echelon rows with one denominator each, so that scaling
-    them to integers adds few bits.
+    the inverses of the unimodular U_inv and V_inv, each from one Cramer
+    solve (`_left_quotient`): U^T * U_inv^T = I and V * V_inv = I. The
+    solve's pass runs on [U_inv | I] and on [V_inv^T | I], whose rows are
+    echelon rows with one denominator each, so that scaling them to integers
+    adds few bits.
     """
     m, n = R.rows, R.cols
     a = [list(row) + list(e) for row, e in zip(R.entries, PolyMatrix.identity(m).entries)]
@@ -574,21 +619,18 @@ def smith_form(R: PolyMatrix) -> SmithDecomposition:
             break
         a[bad] = [x + y for x, y in zip(a[bad], a[bad + 1])]
 
-    def inverse(W: PolyMatrix) -> PolyMatrix:
-        k = W.rows
-        g = [w + e for w, e in zip(W.entries, PolyMatrix.identity(k).entries)]
-        _, _, d, right, _ = _fraction_free(g, k)
-        return PolyMatrix([[e / d.lc for e in row] for row in right], cols=k)
-
-    U_inv = PolyMatrix([row[n:] for row in a], cols=m)
-    V_inv_t = PolyMatrix(vt, cols=n)
-    V_inv = V_inv_t.transpose()
+    U_inv, V_inv = [row[n:] for row in a], list(zip(*vt))
+    # U^T and V: the transforms are unimodular, so each solve is polynomial.
+    Ut, V = (_left_quotient(W, PolyMatrix.identity(len(W))) for W in (list(zip(*U_inv)), V_inv))
+    for X in (Ut, V):
+        if not isinstance(X, PolyMatrix):
+            raise SelfCheckError(f"Smith transform has no polynomial inverse: {X}")
     return SmithDecomposition(
-        U=inverse(U_inv),
-        V=inverse(V_inv_t).transpose(),
+        U=Ut.transpose(),
+        V=V,
         invariant_factors=tuple(factors),
-        U_inv=U_inv,
-        V_inv=V_inv,
+        U_inv=PolyMatrix(U_inv, cols=m),
+        V_inv=PolyMatrix(V_inv, cols=n),
     )
 
 

@@ -17,7 +17,7 @@ from math import gcd, lcm
 from agverify import KernelRep, LatentRep, Poly, PolyMatrix, StateSpace, eliminate_latent
 from agverify.behavior import _io_labels
 from agverify.polyalg import ZERO, S
-from agverify.polymatrix import hstack, vstack
+from agverify.polymatrix import block, hstack, vstack
 
 # ---------------------------------------------------------------------------
 # Exact linear algebra over plain Fractions
@@ -258,6 +258,18 @@ def _pivot_beyond(a: list[list[int]], ncols: int) -> bool:
         if rank == len(a):
             break
     return any(any(row[ncols:]) for row in a[rank:])
+
+
+def join_reference(a1: KernelRep, a2: KernelRep) -> KernelRep:
+    """The join of two behaviors over two latent copies of u, u = l1 + l2
+    with A1 l1 = 0 and A2 l2 = 0, eliminated:
+        [I I; A1 0; 0 A2] (l1; l2) = (I; 0; 0) u
+    """
+    m, r1, r2 = a1.dim, a1.R.rows, a2.R.rows
+    I = PolyMatrix.identity(m)
+    manifest = vstack(I, PolyMatrix.zeros(r1 + r2, m))
+    latent = block([[I, I], [a1.R, PolyMatrix.zeros(r1, m)], [PolyMatrix.zeros(r2, m), a2.R]])
+    return eliminate_latent(LatentRep(manifest, latent, a1.signal_labels))
 
 
 def numeric_full_row_rank(M: PolyMatrix, rng: random.Random, tries: int = 4) -> bool:

@@ -151,6 +151,26 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == f"error: {io}:1:15: output count {over} is above the maximum {MAX_DIMENSION}\n"
 
+    def test_eliminated_kernel_at_the_cap_reads_back(self, capsys, tmp_path):
+        def statespace(p):
+            C = "[" + ", ".join(["[1]"] * p) + "]"
+            return f"statespace S {{ A [[0]] B [[1]] C {C} D [{', '.join(['[0]'] * p)}] }}"
+
+        at_cap = tmp_path / "at_cap.ag"
+        at_cap.write_text(statespace(MAX_DIMENSION - 1))
+        code, out, _ = run(capsys, "eliminate", "S", str(at_cap))
+        assert code == 0
+        kernel = out.split("kernel: \n", 1)[1].rsplit("\nelapsed:", 1)[0]
+        assert parse_document(kernel).get("S_kernel").value.dim == MAX_DIMENSION
+        over = tmp_path / "over.ag"
+        over.write_text(statespace(MAX_DIMENSION))
+        code, out, err = run(capsys, "eliminate", "S", str(over))
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: {over}:1:16: inputs plus outputs {MAX_DIMENSION + 1} is above the maximum "
+            f"{MAX_DIMENSION}\n"
+        )
+
     def test_parse_error_is_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.ag"
         bad.write_text("kernel K { vars y:1 R [[s^2+, 1]] }")
@@ -256,6 +276,14 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err == "internal error: invalid witness: multiplier * source != target\n"
+
+    def test_smith_transform_without_inverse_is_three(self, capsys, monkeypatch):
+        # The Cramer solve that inverts a Smith transform finds no inverse.
+        monkeypatch.setattr(polymatrix, "_left_quotient", lambda src, target: "no inverse")
+        code, out, err = run(capsys, "smith", "A0", *CORPUS)
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: Smith transform has no polynomial inverse: no inverse\n"
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"

@@ -1,9 +1,11 @@
 """Contract calculus: compatibility, implementation, refinement, conjunction."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+import agverify
 from agverify import contracts
 from agverify.behavior import (
     InclusionWitness,
@@ -24,9 +26,10 @@ from agverify.contracts import (
     meet_guarantees,
     refines,
 )
-from agverify.polyalg import ONE, S, ZERO, poly_gcd, poly_lcm
+from agverify.docparse import parse_documents
+from agverify.polyalg import ONE, S, ZERO, Poly, poly_gcd, poly_lcm
 from agverify.polymatrix import DimensionError, PolyMatrix
-from support import random_matrix, random_poly
+from support import join_reference, random_matrix, random_poly
 
 U2 = (("u", 2),)
 U1 = (("u", 1),)
@@ -184,6 +187,35 @@ class TestJoinMeet:
             assert behavior_equal(
                 meet_guarantees(a1, a2), kern([[poly_gcd(p, q)]], U1)
             ).holds
+
+    def test_join_equals_two_copy_reference(self):
+        # One latent copy of u yields the very matrix that two copies yield.
+        files = sorted(agverify.corpus_dir().glob("*.ag"))
+        doc = parse_documents([(str(f), f.read_text()) for f in files])
+        corpus = [doc.get(name).value for name in ("A", "A0", "A1", "A2")]
+        pairs = [(a1, a2) for a1 in corpus for a2 in corpus]
+        rng = random.Random(2000)
+
+        def kernel(m):
+            # Up to 5 rows of degree at most 3: some rational, some with a
+            # dependent row, some with no row at all.
+            rational = rng.random() < 0.4
+            rows = [
+                [Poly([Fraction(c, rng.randint(1, 4) if rational else 1)
+                       for c in random_poly(rng).num]) for _ in range(m)]
+                for _ in range(rng.randint(0, 5))
+            ]
+            if rows and rng.random() < 0.3:
+                q, i, j = random_poly(rng, 1), rng.randrange(len(rows)), rng.randrange(len(rows))
+                rows.append([q * a + b for a, b in zip(rows[i], rows[j])])
+            return KernelRep(PolyMatrix(rows, cols=m), (("u", m),))
+
+        for _ in range(500):
+            m = rng.randint(1, 4)
+            pairs.append((kernel(m), kernel(m)))
+        assert sum(not a.R.rows or not b.R.rows for a, b in pairs) > 50
+        for a1, a2 in pairs:
+            assert join_assumptions(a1, a2).R == join_reference(a1, a2).R
 
     def test_join_contains_both_and_meet_contained_in_both(self):
         rng = random.Random(17)

@@ -285,6 +285,27 @@ class TestDefinitions:
             parse_document(iosystem(over))
         assert f":2:2: output count {over} is above the maximum {MAX_DIMENSION}" in str(exc.value)
 
+    def test_inputs_plus_outputs_cap(self):
+        # `eliminate` prints a system's inputs and outputs as one vars list,
+        # so they obey the vars list's cap.
+        def statespace(m, p):
+            B = "[[" + ", ".join(["1"] * m) + "]]" if m else "[]"
+            C = "[" + ", ".join(["[1]"] * p) + "]"
+            D = "[" + ", ".join(["[" + ", ".join(["0"] * m) + "]"] * p) + "]" if m else "[]"
+            return f"statespace S {{\n A [[0]] B {B} C {C} D {D} }}"
+
+        def iosystem(m):
+            return f"iosystem IO {{\n P [[s]] Q [[{', '.join(['1'] * m)}]] }}"
+
+        s = parse_document(statespace(40, MAX_DIMENSION - 40)).get("S").value
+        assert s.m + s.p == MAX_DIMENSION
+        assert parse_document(iosystem(MAX_DIMENSION - 1)).get("IO").value.m == MAX_DIMENSION - 1
+        over = MAX_DIMENSION + 1
+        for text in (statespace(0, over), statespace(1, MAX_DIMENSION), iosystem(MAX_DIMENSION)):
+            with pytest.raises(ParseError) as exc:
+                parse_document(text)
+            assert f":2:2: inputs plus outputs {over} is above the maximum {MAX_DIMENSION}" in str(exc.value)
+
     def test_comments_skipped(self):
         doc = parse_document("# heading\nkernel K { vars y:1 R [[s]] } # tail")
         assert "K" in doc.definitions
@@ -401,12 +422,14 @@ class TestMachineReadable:
 
 def test_import_loads_no_unused_modules():
     # Each CLI call starts a fresh interpreter; importing the package and its
-    # text front end should load only what they use. `-S` skips site hooks,
+    # CLI should load only what they use: files are read and written with
+    # `open`, and only `--format json` needs `json`. `-S` skips site hooks,
     # which may import these modules on their own.
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import agverify, agverify.docparse; "
-        "print(sorted({'typing', 'importlib.resources', 'pathlib', 'tempfile'} & set(sys.modules)))"
+        f"import sys; sys.path.insert(0, {src!r}); import agverify, agverify.cli; "
+        "print(sorted({'typing', 'importlib.resources', 'pathlib', 'tempfile', 'json'} "
+        "& set(sys.modules)))"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True

@@ -99,6 +99,11 @@ class TestPolyBasics:
     def test_value_semantics(self):
         assert Poly([3]) == 3 and Poly([Fraction(1, 2)]) == Fraction(1, 2)
         assert Poly([1, 1]) == S + 1 and hash(Poly([1, 1])) == hash(S + 1)
+        # A constant polynomial hashes like the scalar it equals.
+        for scalar in (0, 3, -2, Fraction(1, 2)):
+            assert hash(Poly([scalar])) == hash(scalar)
+        assert len({Poly([3]), 3}) == 1 and {3: "x"}[Poly([3])] == "x"
+        assert {Fraction(1, 2): "h"}[Poly([Fraction(1, 2)])] == "h" and ZERO in {0}
         assert repr(S + 1) == "Poly(s + 1)"
         with pytest.raises(AttributeError):
             S.num = (1,)
