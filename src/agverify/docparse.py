@@ -19,7 +19,9 @@ Grammar (EBNF sketch, ``#`` starts a line comment):
 A NAME starts with a character for which `str.isalpha()` holds, or "_", and
 goes on with characters for which `str.isalnum()` holds, or "_" (the word
 characters of `re`). An INT is a run of the ASCII digits 0-9. Tabs and
-carriage returns are one column each.
+carriage returns are one column each. The lexer keeps each token as its text,
+and the line of each as the count of newlines before it; a column is
+computed only for an error message.
 
 The exponent after "^" is at most `MAX_EXPONENT`, an integer has at most
 `MAX_DIGITS` digits, and the dimensions of a varlist add up to at most
@@ -42,13 +44,14 @@ from __future__ import annotations
 
 import re
 import sys
-from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from .behavior import IoSystem, KernelRep, LatentRep, StateSpace
 from .contracts import Contract
-from .polyalg import Poly, _coeff_text
+from .polyalg import Poly, _coeff_text, _poly
 from .polymatrix import PolyMatrix
 
 
@@ -140,41 +143,19 @@ class Document:
 # Lexer
 # --------------------------------------------------------------------------
 
-# A symbol's kind is its own text. The EOF token's text is what error
-# messages show for it.
-Token = namedtuple("Token", "kind text line col")
-
-# Blanks and comments match no group. `\w` holds exactly where `str.isalnum()`
-# holds, or for "_"; it also takes digits such as "²" that may not start a
-# name, so `_tokenize` checks a NAME's first character.
-_TOKEN = re.compile(
-    r"(?P<NL>\n)|[ \t\r]+|#.*|(?P<INT>[0-9]+)|(?P<NAME>\w+)"
-    r"|(?P<SYMBOL>[][{},:+\-*^/])|(?P<BAD>.)"
-)
-
-
-def _tokenize(text: str, source: str) -> list[Token]:
-    tokens = []
-    line, start = 1, 0  # the current line and the offset where it starts
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        tok, col = m.group(), m.start() - start + 1
-        if kind == "NL":
-            line, start = line + 1, m.end()
-            continue
-        if kind == "SYMBOL":
-            kind = tok
-        elif kind == "BAD" or kind == "NAME" and not (tok[0].isalpha() or tok[0] == "_"):
-            raise ParseError(f"unexpected character {tok[0]!r}", source, line, col)
-        tokens.append(Token(kind, tok, line, col))
-    # A comment does not advance the column, so the end of a last line that
-    # holds one is at its "#".
-    end = text.find("#", start)
-    end = len(text) if end < 0 else end
-    tokens.append(Token("EOF", "end of input", line, end - start + 1))
-    return tokens
+# Each match skips blanks and comments, then captures one token: a newline,
+# an INT, a run of word characters, a symbol, any other character or, at the
+# end of the text, the empty string. Some alternative matches anywhere, so the
+# nested quantifier never backtracks. Tokens are plain strings: a symbol reads
+# as itself, an INT starts with 0-9 and a NAME with a letter or "_". `\w` holds
+# exactly where `str.isalnum()` holds, or for "_"; it also takes digits such as
+# "²" that may not start a name, so `_Parser` checks every first character. A
+# token's line comes from where the newlines fell. Its column is computed only
+# for an error, by matching its line again: no token spans a newline, so the
+# line gives the same tokens.
+_TOKEN = re.compile(r"(?:[ \t\r]+|#.*)*(\n|[0-9]+|\w+|[][{},:+\-*^/]|.|\Z)")
+_DIGITS = frozenset("0123456789")
+_STARTS = frozenset("0123456789_[]{},:+-*^/")
 
 
 # --------------------------------------------------------------------------
@@ -183,146 +164,183 @@ def _tokenize(text: str, source: str) -> list[Token]:
 
 
 class _Parser:
+    """Parses one text, over its tokens with the newlines taken out.
+
+    ``tokens`` ends with "", the end of input, and ``breaks[k]`` is the index
+    of the first token after the k-th newline.
+    """
+
     def __init__(self, text: str, source: str):
-        self.tokens = _tokenize(text, source)
-        self.pos = 0
+        toks = _TOKEN.findall(text)
+        del toks[toks.index(""):]
+        newlines = [i for i, t in enumerate(toks) if t == "\n"]
+        self.breaks = [i - k for k, i in enumerate(newlines)]
+        self.tokens = tokens = [t for t in toks if t != "\n"] if newlines else toks
+        self.text = text
         self.source = source
+        self.pos = 0
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        self.max_digits = min(MAX_DIGITS, limit or MAX_DIGITS)
+        bad = [t for t in set(tokens) if t[0] not in _STARTS and not t[0].isalpha()]
+        if bad:
+            i = min(map(tokens.index, bad))
+            raise self.error(f"unexpected character {tokens[i][0]!r}", i)
+        tokens.append("")
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def line(self, i: int) -> int:
+        return bisect_right(self.breaks, i) + 1
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
+    def position(self, i: int) -> tuple[int, int]:
+        """The line and column of token i."""
+        line = bisect_right(self.breaks, i)
+        text = self.text.split("\n", line + 1)[line]
+        if not self.tokens[i]:
+            # A comment does not advance the column, so the end of a last
+            # line that holds one is at its "#".
+            col = text.find("#")
+            return line + 1, (len(text) if col < 0 else col) + 1
+        k = i - self.breaks[line - 1] if line else i
+        return line + 1, next(islice(_TOKEN.finditer(text), k, None)).start(1) + 1
+
+    def error(self, message: str, i: int | None = None) -> ParseError:
+        return ParseError(message, self.source, *self.position(self.pos if i is None else i))
+
+    def shown(self, i: int) -> str:
+        return repr(self.tokens[i] or "end of input")
+
+    def expect(self, text: str) -> None:
+        """Step over the next token, which must read `text`: a symbol or a word."""
+        if self.tokens[self.pos] != text:
+            raise self.error(f"expected '{text}', found {self.shown(self.pos)}")
         self.pos += 1
-        return tok
 
-    def accept(self, text: str) -> bool:
-        """Step over the next token if it reads `text`: a symbol, or ``s``."""
-        if self.tokens[self.pos].text != text:
-            return False
+    def name(self, what: str) -> str:
+        t = self.tokens[self.pos]
+        if not (t[:1].isalpha() or t[:1] == "_"):
+            raise self.error(f"expected {what}, found {self.shown(self.pos)}")
         self.pos += 1
-        return True
+        return t
 
-    def error(self, message: str, tok: Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, self.source, tok.line, tok.col)
+    def int_error(self, i: int) -> ParseError:
+        t = self.tokens[i]
+        if t[:1] not in _DIGITS:
+            return self.error(f"expected an integer, found {self.shown(i)}", i)
+        return self.error(f"integer of {len(t)} digits exceeds the maximum {self.max_digits}", i)
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        if self.peek().kind != kind:
-            raise self.error(f"expected {what or repr(kind)}, found {self.peek().text!r}")
-        return self.next()
+    def integer(self) -> int:
+        t = self.tokens[self.pos]
+        if t[:1] not in _DIGITS or len(t) > self.max_digits:
+            raise self.int_error(self.pos)
+        self.pos += 1
+        return int(t)
 
-    def expect_keyword(self, word: str) -> Token:
-        # Only a NAME token reads as a word.
-        if self.peek().text != word:
-            raise self.error(f"expected '{word}', found {self.peek().text!r}")
-        return self.next()
-
-    def cap(self, what: str, size: int, tok: Token) -> None:
+    def cap(self, what: str, size: int, i: int) -> None:
         if size > MAX_DIMENSION:
-            raise self.error(f"{what} {size} is above the maximum {MAX_DIMENSION}", tok)
+            raise self.error(f"{what} {size} is above the maximum {MAX_DIMENSION}", i)
 
     # -- polynomial / matrix ------------------------------------------------
 
-    def parse_int(self) -> int:
-        tok = self.expect("INT", "an integer")
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        cap = min(MAX_DIGITS, limit or MAX_DIGITS)
-        if len(tok.text) > cap:
-            raise self.error(f"integer of {len(tok.text)} digits exceeds the maximum {cap}", tok)
-        return int(tok.text)
-
-    def parse_coef(self) -> int | Fraction:
-        """An integer, or a `Fraction` when written ``a/b``."""
-        num = self.parse_int()
-        if not self.accept("/"):
-            return num
-        tok = self.peek()
-        if (den := self.parse_int()) == 0:
-            raise self.error("zero denominator", tok)
-        return Fraction(num, den)
-
-    def parse_term(self) -> tuple[int | Fraction, int]:
-        """One monomial: returns (coefficient, power)."""
-        if self.peek().kind == "INT":
-            coef = self.parse_coef()
-            if not self.accept("*"):
-                return coef, 0
-            self.expect_keyword("s")
-        elif self.accept("s"):
-            coef = 1
-        else:
-            raise self.error(f"expected a polynomial term, found {self.peek().text!r}")
-        return coef, self.parse_power()
-
-    def parse_power(self) -> int:
-        if not self.accept("^"):
-            return 1
-        tok = self.peek()
-        if (power := self.parse_int()) > MAX_EXPONENT:
-            raise self.error(f"exponent {power} exceeds the maximum {MAX_EXPONENT}", tok)
-        return power
-
     def parse_poly(self) -> Poly:
-        coeffs: dict[int, int | Fraction] = {}
-        sign = -1 if self.accept("-") else 1
-        if sign == 1:
-            self.accept("+")
+        toks, i, max_digits = self.tokens, self.pos, self.max_digits
+        coeffs: list = []  # the coefficient of s^k at index k
+        rational = False
+        sign = -1 if toks[i] == "-" else 1
+        if toks[i] == "-" or toks[i] == "+":
+            i += 1
         while True:
-            coef, power = self.parse_term()
-            coeffs[power] = coeffs.get(power, 0) + sign * coef
-            if self.accept("+"):
+            t = toks[i]
+            if t == "s":
+                coef, power = sign, 1
+            elif t[:1] in _DIGITS:
+                if len(t) > max_digits:
+                    raise self.int_error(i)
+                coef, power = sign * int(t), 0
+                if toks[i + 1] == "/":
+                    i += 2
+                    t = toks[i]
+                    if t[:1] not in _DIGITS or len(t) > max_digits:
+                        raise self.int_error(i)
+                    if not (den := int(t)):
+                        raise self.error("zero denominator", i)
+                    coef, rational = Fraction(coef, den), True
+                if toks[i + 1] == "*":
+                    i += 2
+                    if toks[i] != "s":
+                        raise self.error(f"expected 's', found {self.shown(i)}", i)
+                    power = 1
+            else:
+                raise self.error(f"expected a polynomial term, found {self.shown(i)}", i)
+            i += 1
+            if power and toks[i] == "^":
+                i += 1
+                t = toks[i]
+                if t[:1] not in _DIGITS or len(t) > max_digits:
+                    raise self.int_error(i)
+                if (power := int(t)) > MAX_EXPONENT:
+                    raise self.error(f"exponent {power} exceeds the maximum {MAX_EXPONENT}", i)
+                i += 1
+            if power >= len(coeffs):
+                coeffs += [0] * (power + 1 - len(coeffs))
+            coeffs[power] += coef
+            t = toks[i]
+            if t == "+":
                 sign = 1
-            elif self.accept("-"):
+            elif t == "-":
                 sign = -1
             else:
-                return Poly([coeffs.get(k, 0) for k in range(max(coeffs) + 1)])
+                self.pos = i
+                return Poly(coeffs) if rational else _poly(coeffs, 1)
+            i += 1
 
     def parse_matrix(self) -> list[list[Poly]]:
+        toks = self.tokens
         self.expect("[")
-        if self.accept("]"):
-            return []
-        rows = [self.parse_row()]
-        while self.accept(","):
-            rows.append(self.parse_row())
-        self.expect("]")
-        return rows
-
-    def parse_row(self) -> list[Poly]:
-        self.expect("[")
-        row = [self.parse_poly()]
-        while self.accept(","):
-            row.append(self.parse_poly())
-        self.expect("]")
-        return row
+        rows: list[list[Poly]] = []
+        if toks[self.pos] == "]":
+            self.pos += 1
+            return rows
+        while True:
+            self.expect("[")
+            row = [self.parse_poly()]
+            while toks[self.pos] == ",":
+                self.pos += 1
+                row.append(self.parse_poly())
+            self.expect("]")
+            rows.append(row)
+            if toks[self.pos] != ",":
+                self.expect("]")
+                return rows
+            self.pos += 1
 
     def parse_varlist(self) -> list[tuple[str, int]]:
         labels, total = [], 0
         while True:
-            name = self.expect("NAME", "a signal name").text
+            name = self.name("a signal name")
             self.expect(":")
-            tok = self.peek()
-            dim = self.parse_int()
+            i = self.pos
+            dim = self.integer()
             if dim < 1:
-                raise self.error("signal dimension must be at least 1", tok)
+                raise self.error("signal dimension must be at least 1", i)
             total += dim
             if total > MAX_DIMENSION:
                 raise self.error(
-                    f"signal dimensions add up to {total}, above the maximum {MAX_DIMENSION}", tok
+                    f"signal dimensions add up to {total}, above the maximum {MAX_DIMENSION}", i
                 )
             labels.append((name, dim))
-            if not self.accept(","):
+            if self.tokens[self.pos] != ",":
                 return labels
+            self.pos += 1
 
     # -- definitions -----------------------------------------------------------
 
     def parse_definition(self) -> Definition:
-        kind_tok = self.expect("NAME", "a definition kind")
-        kind = kind_tok.text
+        i = self.pos
+        kind = self.name("a definition kind")
         body = getattr(self, f"parse_{kind}_body", None)
         if body is None:
-            raise self.error(f"unknown definition kind '{kind}'", kind_tok)
-        name_tok = self.expect("NAME", "a definition name")
+            raise self.error(f"unknown definition kind '{kind}'", i)
+        line = self.line(self.pos)
+        name = self.name("a definition name")
         self.expect("{")
         try:
             value = body()
@@ -330,59 +348,59 @@ class _Parser:
             raise
         except (ValueError, TypeError) as exc:
             raise DimensionInconsistencyError(
-                f"{self.source}:{name_tok.line}: in {kind} '{name_tok.text}': {exc}"
+                f"{self.source}:{line}: in {kind} '{name}': {exc}"
             ) from exc
         self.expect("}")
         # A contract holds the names of its kernels until `parse_documents`
         # resolves them.
         refs = value if kind == "contract" else ()
-        return Definition(kind, name_tok.text, value, refs, self.source, name_tok.line)
+        return Definition(kind, name, value, refs, self.source, line)
 
     def field_matrix(self, keyword: str, cols: int | None = None) -> PolyMatrix:
-        self.expect_keyword(keyword)
-        tok = self.peek()
+        self.expect(keyword)
+        line = self.line(self.pos)
         rows = self.parse_matrix()
         try:
             return PolyMatrix(rows, cols=cols if not rows else None)
         except ValueError as exc:
             raise DimensionInconsistencyError(
-                f"{self.source}:{tok.line}: matrix {keyword}: {exc}"
+                f"{self.source}:{line}: matrix {keyword}: {exc}"
             ) from exc
 
     def parse_statespace_body(self) -> StateSpace:
-        tok = self.peek()
+        i = self.pos
         A = self.field_matrix("A")
-        self.cap("state dimension", A.rows, tok)
+        self.cap("state dimension", A.rows, i)
         B, C, D = (self.field_matrix(keyword) for keyword in "BCD")
         s = StateSpace.from_lists(A.entries, B.entries, C.entries, D.entries)
-        self.cap("inputs plus outputs", s.m + s.p, tok)
+        self.cap("inputs plus outputs", s.m + s.p, i)
         return s
 
     def parse_iosystem_body(self) -> IoSystem:
-        tok = self.peek()
+        i = self.pos
         P = self.field_matrix("P")
-        self.cap("output count", P.rows, tok)
+        self.cap("output count", P.rows, i)
         Q = self.field_matrix("Q")
         # Written ``[]``, Q has P's rows and no columns: a system without inputs.
         system = IoSystem(P, Q if Q.rows else PolyMatrix([()] * P.rows, cols=0))
-        self.cap("inputs plus outputs", system.m + system.p, tok)
+        self.cap("inputs plus outputs", system.m + system.p, i)
         return system
 
     def parse_kernel_body(self) -> KernelRep:
-        self.expect_keyword("vars")
+        self.expect("vars")
         labels = self.parse_varlist()
-        tok = self.peek()
+        i = self.pos
         R = self.field_matrix("R", cols=sum(d for _, d in labels))
-        self.cap("kernel row count", R.rows, tok)
+        self.cap("kernel row count", R.rows, i)
         return KernelRep(R, labels)
 
     def parse_latent_body(self) -> LatentRep:
-        self.expect_keyword("vars")
+        self.expect("vars")
         labels = self.parse_varlist()
-        self.expect_keyword("latent")
-        latent = self.expect("NAME", "a latent signal name").text
+        self.expect("latent")
+        latent = self.name("a latent signal name")
         self.expect(":")
-        latent_dim = self.parse_int()
+        latent_dim = self.integer()
         R = self.field_matrix("R", cols=sum(d for _, d in labels))
         E = self.field_matrix("E", cols=latent_dim)
         if E.cols != latent_dim:
@@ -390,15 +408,15 @@ class _Parser:
         return LatentRep(R, E, labels)
 
     def parse_contract_body(self) -> tuple[str, str]:
-        self.expect_keyword("assumptions")
-        a = self.expect("NAME", "an assumptions kernel name").text
-        self.expect_keyword("guarantees")
-        g = self.expect("NAME", "a guarantees kernel name").text
+        self.expect("assumptions")
+        a = self.name("an assumptions kernel name")
+        self.expect("guarantees")
+        g = self.name("a guarantees kernel name")
         return (a, g)
 
     def parse_document(self) -> list[Definition]:
         defs = []
-        while self.peek().kind != "EOF":
+        while self.tokens[self.pos]:
             defs.append(self.parse_definition())
         if not defs:
             raise self.error("empty document")
@@ -460,7 +478,8 @@ def parse_documents(sources: list[tuple[str, str]]) -> Document:
             else:
                 resolved.append(target.value)
         if len(resolved) == 2:
-            doc.definitions[d.name] = replace(d, value=Contract(*resolved))
+            c = Contract(*resolved)
+            doc.definitions[d.name] = Definition(d.kind, d.name, c, d.refs, d.source, d.line)
 
     if errors:
         raise DocumentValidationError(errors)
@@ -540,9 +559,10 @@ def parse_matrix_text(text: str, source: str = "<matrix>") -> PolyMatrix:
     """Parse a bare matrix literal such as ``[[s^2+1, -s], [0, 1]]``."""
     parser = _Parser(text, source)
     rows = parser.parse_matrix()
-    parser.expect("EOF", "end of input")
+    if parser.tokens[parser.pos]:
+        raise parser.error(f"expected end of input, found {parser.shown(parser.pos)}")
     if not rows:
-        raise parser.error("empty matrix literal has unknown column count", parser.tokens[0])
-    parser.cap("matrix row count", len(rows), parser.tokens[0])
-    parser.cap("matrix column count", len(rows[0]), parser.tokens[0])
+        raise parser.error("empty matrix literal has unknown column count", 0)
+    parser.cap("matrix row count", len(rows), 0)
+    parser.cap("matrix column count", len(rows[0]), 0)
     return PolyMatrix(rows)

@@ -206,8 +206,9 @@ class Poly:
 
     def divides(self, other: "Poly") -> bool:
         """True when ``other`` is a polynomial multiple of ``self``."""
-        if self.is_zero:
-            return other.is_zero
+        if len(self.num) <= 1:
+            # A nonzero constant divides every polynomial.
+            return bool(self.num) or other.is_zero
         return (other % self).is_zero
 
     def monic(self) -> "Poly":

@@ -365,9 +365,12 @@ def _left_quotient(src: Sequence[Sequence[Poly]], target: PolyMatrix) -> PolyMat
     combination of src_J. When d divides the coefficients of every row of
     D, src and src_J have the same row module, so M exists iff the unique
     multiplier of src_J is polynomial, that is iff d divides every
-    numerator; M then has a zero column for each row of D. Returns the
-    reason when no polynomial M exists, and None when a row of D is no
-    polynomial combination of src_J, which leaves the question open.
+    numerator; M then has a zero column for each row of D. A nonzero
+    constant d, as for the unimodular sources of the Smith transforms,
+    divides every numerator, and each quotient is one scalar division.
+    Returns the reason when no polynomial M exists, and None when a row of
+    D is no polynomial combination of src_J, which leaves the question
+    open.
     """
     r, n = len(src), target.cols
     g = [[row[j] for row in src] + [row[j] for row in target.entries] for j in range(n)]
@@ -381,9 +384,15 @@ def _left_quotient(src: Sequence[Sequence[Poly]], target: PolyMatrix) -> PolyMat
                     f"no polynomial multiplier exists: row {k} is not a rational combination of "
                     f"the source rows in source column {j} (bordered minor {e})"
                 )
+    M = [[ZERO] * r for _ in range(target.rows)]
+    if d.is_constant:
+        lc = d.lc
+        for k, out in enumerate(M):
+            for i, c in enumerate(pivots):
+                out[c] = right[i][dropped + k] / lc
+        return PolyMatrix(M, cols=r)
     if not all(d.divides(e) for row in right[:rank] for e in row[:dropped]):
         return None
-    M = [[ZERO] * r for _ in range(target.rows)]
     for k, out in enumerate(M):
         for i, c in enumerate(pivots):
             e = right[i][dropped + k]

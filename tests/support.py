@@ -1,4 +1,5 @@
-"""Shared test helpers: independent oracles and random-instance generators.
+"""Shared test helpers: independent oracles, random-instance generators and
+a wall-clock budget.
 
 The oracles here deliberately avoid the library's decision paths: the
 determinant and adjugate oracles are plain cofactor expansion, the transfer
@@ -11,11 +12,16 @@ and eliminates over plain Fractions.
 from __future__ import annotations
 
 import random
+import re
+import time
+from collections import namedtuple
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm
 
 from agverify import KernelRep, LatentRep, Poly, PolyMatrix, StateSpace, eliminate_latent
 from agverify.behavior import _io_labels
+from agverify.docparse import ParseError
 from agverify.polyalg import ZERO, S
 from agverify.polymatrix import block, hstack, vstack
 
@@ -310,6 +316,53 @@ def poly_text_reference(p: Poly) -> str:
         else:
             parts.append(f" {'-' if c < 0 else '+'} {body}")
     return "".join(parts) or "0"
+
+
+# A symbol's kind is its own text. The EOF token's text is what error
+# messages show for it.
+Token = namedtuple("Token", "kind text line col")
+
+# Blanks and comments match no group. `\w` holds exactly where `str.isalnum()`
+# holds, or for "_"; it also takes digits such as "²" that may not start a
+# name, so `tokenize_reference` checks a NAME's first character.
+_TOKEN_REFERENCE = re.compile(
+    r"(?P<NL>\n)|[ \t\r]+|#.*|(?P<INT>[0-9]+)|(?P<NAME>\w+)"
+    r"|(?P<SYMBOL>[][{},:+\-*^/])|(?P<BAD>.)"
+)
+
+
+def tokenize_reference(text: str, source: str) -> list[Token]:
+    """The document tokens with their kinds, lines and columns, from one scan
+    that tracks the line and the offset where it starts."""
+    tokens = []
+    line, start = 1, 0  # the current line and the offset where it starts
+    for m in _TOKEN_REFERENCE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        tok, col = m.group(), m.start() - start + 1
+        if kind == "NL":
+            line, start = line + 1, m.end()
+            continue
+        if kind == "SYMBOL":
+            kind = tok
+        elif kind == "BAD" or kind == "NAME" and not (tok[0].isalpha() or tok[0] == "_"):
+            raise ParseError(f"unexpected character {tok[0]!r}", source, line, col)
+        tokens.append(Token(kind, tok, line, col))
+    # A comment does not advance the column, so the end of a last line that
+    # holds one is at its "#".
+    end = text.find("#", start)
+    end = len(text) if end < 0 else end
+    tokens.append(Token("EOF", "end of input", line, end - start + 1))
+    return tokens
+
+
+@contextmanager
+def budget(seconds: float, what: str):
+    t0 = time.perf_counter()
+    yield
+    elapsed = time.perf_counter() - t0
+    assert elapsed < seconds, f"{what} took {elapsed:.2f}s, budget {seconds}s"
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ wall-clock budgets.
 """
 
 import random
-import time
 from contextlib import contextmanager
 
 
@@ -31,6 +30,7 @@ from agverify.docparse import parse_document, parse_documents
 from agverify.polyalg import S
 from agverify.polymatrix import vstack
 from support import (
+    budget,
     inclusion_by_linear_solve,
     random_full_row_rank,
     random_matrix,
@@ -59,14 +59,6 @@ def criterion(num: str, label: str):
         print(f"[criterion {num}] FAIL - {label}")
         raise
     print(f"[criterion {num}] PASS - {label}")
-
-
-@contextmanager
-def budget(seconds: float, what: str):
-    t0 = time.perf_counter()
-    yield
-    elapsed = time.perf_counter() - t0
-    assert elapsed < seconds, f"{what} took {elapsed:.2f}s, budget {seconds}s"
 
 
 def test_criterion_1_quarter_car_implementation(capsys):

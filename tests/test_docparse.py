@@ -21,6 +21,7 @@ from agverify.docparse import (
     DimensionInconsistencyError,
     ParseError,
     UnresolvedReferenceError,
+    _Parser,
     contract_document,
     format_document,
     format_matrix,
@@ -32,6 +33,7 @@ from agverify.docparse import (
 )
 from agverify.polyalg import S, Poly
 from agverify.polymatrix import PolyMatrix
+from support import budget, tokenize_reference
 
 
 coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=12)
@@ -126,6 +128,10 @@ class TestPolyParsing:
             ("kernel K {\r vars y:1 R [[s]] $ }", None, ":1:30: unexpected character '$'"),
             ("kernel K {\t\tvars y:1 R [[s]] } #x\n%", None, ":2:1: unexpected character '%'"),
             ("kernel K { vars y:1 R [[s]] # x", None, ":1:29: expected '}', found 'end of input'"),
+            # A token is its text: a name reads as a name whatever it spells.
+            ("kernel K { vars y:INT R [[s]] }", None, ":1:19: expected an integer, found 'INT'"),
+            ("kernel EOF { vars NAME:1 R [[s]] }", "EOF", None),
+            ("kernel end { vars y:1 R [[s]] }", "end", None),
         ],
     )
     def test_tokenizer_edge_cases(self, text, name, error):
@@ -137,6 +143,11 @@ class TestPolyParsing:
         with pytest.raises(ParseError) as exc:
             parse_document(text)
         assert error in str(exc.value)
+
+    def test_name_where_s_is_expected(self):
+        with pytest.raises(ParseError) as exc:
+            parse_matrix_text("[[s, 2*INT]]")
+        assert ":1:8: expected 's', found 'INT'" in str(exc.value)
 
     def test_zero_denominator(self):
         with pytest.raises(ParseError):
@@ -176,6 +187,40 @@ class TestPolyParsing:
         assert at_cap == Poly([10**640 - 1])
         assert ":2:8:" in str(exc.value)
         assert "integer of 700 digits exceeds the maximum 640" in str(exc.value)
+
+
+class TestLexer:
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet="[]{},:+-*^/ \t\r\n#sxyINT_019\u00b2\u00e9\u0663\u00bd\u01c5$", max_size=60))
+    def test_matches_reference_lexer(self, text):
+        try:
+            expected = tokenize_reference(text, "<t>")
+        except ParseError as exc:
+            # Every character is checked before any syntax error is raised.
+            with pytest.raises(ParseError) as got:
+                parse_document(text, "<t>")
+            assert str(got.value) == str(exc)
+            return
+        parser = _Parser(text, "<t>")
+        assert parser.tokens == [t.text for t in expected[:-1]] + [""]
+        assert [parser.line(i) for i in range(len(expected))] == [t.line for t in expected]
+        assert [parser.position(i) for i in range(len(expected))] == [
+            (t.line, t.col) for t in expected
+        ]
+
+    def test_lexing_is_linear(self):
+        # The pattern nests a quantifier over blanks and comments; since one
+        # of its alternatives matches at every position, it never backtracks.
+        kernel = "kernel K { vars y:1 R [[s]] }"
+        with budget(1.0, "a kernel and 1 MB of blanks"):
+            assert list(parse_document(kernel + " \t" * 500_000).definitions) == ["K"]
+        with budget(1.0, "50,000 comment lines and a kernel"):
+            doc = parse_document("# a comment line\n" * 50_000 + kernel)
+        assert doc.get("K").line == 50_001
+        with budget(1.0, "100,000 blanks and a bad character"):
+            with pytest.raises(ParseError) as exc:
+                parse_document(" " * 100_000 + "$")
+        assert ":1:100001: unexpected character '$'" in str(exc.value)
 
 
 class TestDefinitions:

@@ -152,6 +152,10 @@ class TestGcd:
         assert g.lc == 1
         assert (a % g).is_zero and (b % g).is_zero
 
+    @given(a=polys, b=polys)
+    def test_divides_leaves_no_remainder(self, a, b):
+        assert a.divides(b) == (b.is_zero if a.is_zero else (b % a).is_zero)
+
     @given(p=nonzero_polys, q=nonzero_polys, r=nonzero_polys)
     def test_multiplicativity(self, p, q, r):
         # gcd(p*q, p*r) = p * gcd(q, r) up to monic normalization.

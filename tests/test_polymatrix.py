@@ -459,6 +459,16 @@ class TestSmith:
                 product = product * d
                 assert product == minor_gcd(M, k)
 
+    def test_constant_pivot_needs_no_division(self, monkeypatch):
+        # U and V are Cramer solves over unimodular sources, whose last pivot
+        # is a nonzero constant, and the invariant factors start at 1.
+        calls = []
+        divmod_ = Poly.__divmod__
+        monkeypatch.setattr(Poly, "__divmod__", lambda a, b: calls.append(b) or divmod_(a, b))
+        sd = smith_form(PolyMatrix([[S**2 + S + 1, -S - 1], [-S - 1, S**2 + S + 2]]))
+        assert calls == []
+        assert sd.invariant_factors == (ONE, S**4 + 2 * S**3 + 3 * S**2 + S + 1)
+
     @settings(deadline=None)
     @given(rank_instances())
     @example(PolyMatrix.diag([S, S + 1]))  # s does not divide s + 1: factors (1, s^2 + s)
