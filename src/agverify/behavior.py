@@ -16,19 +16,20 @@ Systems*, 1980, sec. 6.4): one integer scan of relation rows, each a
 derivative of one output as a state part and an input part, reduces the
 state parts, and the first dependence of each output sums the input parts of
 the rows it involves into one row of P y = Q u, with one row per output and
-P row reduced. Inclusion solves the multiplier by Cramer's rule in one
+P row reduced. A `StateSpace` keeps the checked form, so each object is
+converted at most once. Inclusion solves the multiplier by Cramer's rule in one
 fraction-free (Bareiss) pass (`polymatrix._left_quotient`), dropping the
 source rows that are polynomial combinations of its pivot rows, and reduces
 the source with `row_echelon` only when some dependent row is not. Every
-decision stays in Q[s]: `check_io_form` reads properness of P^-1 Q off
-Cramer numerators, and no transfer matrix or other rational function is
-ever formed.
+decision stays in Q[s]: `check_io_form` reads properness of P^-1 Q off the
+row degrees of P and Q when P is row reduced, and off the Cramer numerators
+otherwise, and no transfer matrix or other rational function is ever formed.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
@@ -141,12 +142,18 @@ def _constant_matrix(M: PolyMatrix, what: str) -> PolyMatrix:
 @dataclass(frozen=True, slots=True)
 class StateSpace:
     """First-order system dx/dt = A x + B u, y = C x + D u with rational
-    constant matrices (stored as degree-0 polynomial matrices)."""
+    constant matrices (stored as degree-0 polynomial matrices).
+
+    ``_io_form`` holds the system's input-output form once `statespace_to_io`
+    has computed and checked it; it takes no part in equality, hashing or
+    the repr.
+    """
 
     A: PolyMatrix
     B: PolyMatrix
     C: PolyMatrix
     D: PolyMatrix
+    _io_form: IoSystem | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A, B, C, D = self.A, self.B, self.C, self.D
@@ -166,19 +173,19 @@ class StateSpace:
 
     @classmethod
     def from_lists(cls, A, B, C, D) -> "StateSpace":
-        """From nested lists of constants. B is n x m, C is p x n and D is
-        p x m, for n the rows of A, m the width of B or else of D, and p the
-        rows of C or else of D. A matrix given without rows takes the empty
-        shape this implies: p x 0 for C when n = 0, n x 0 for B and p x 0
-        for D when m = 0, and no rows otherwise."""
-        n = len(A)
-        m = len(B[0]) if B else len(D[0]) if D else 0
-        p = len(C) if C else len(D)
+        """From nested lists of constants, or `PolyMatrix` values, which are
+        kept as they are. B is n x m, C is p x n and D is p x m, for n the
+        rows of A, m the width of B or else of D, and p the rows of C or else
+        of D. A matrix given without rows takes the empty shape this implies:
+        p x 0 for C when n = 0, n x 0 for B and p x 0 for D when m = 0, and no
+        rows otherwise."""
+        A, B, C, D = (M if isinstance(M, PolyMatrix) else PolyMatrix(M) for M in (A, B, C, D))
+        n = A.rows
+        m = B.cols if B.rows else D.cols
+        p = C.rows or D.rows
 
-        def grid(entries, rows, cols):
-            if entries:
-                return PolyMatrix(entries)
-            return PolyMatrix([] if cols else [()] * rows, cols=cols)
+        def grid(M, rows, cols):
+            return M if M.rows else PolyMatrix([] if cols else [()] * rows, cols=cols)
 
         return cls(grid(A, n, n), grid(B, n, m), grid(C, p, n), grid(D, p, m))
 
@@ -350,9 +357,15 @@ def statespace_to_io(s: StateSpace) -> IoSystem:
     divided by the coefficient of s^nu_i in P_ii. `Poly`s are built only
     for these p rows.
 
-    `check_io_form` is run on the result as a self-check; its failure is a
-    `SelfCheckError`, a fault rather than bad input.
+    `check_io_form` is run on the result as a self-check; as P is row
+    reduced, it certifies properness from the row degrees, without an
+    elimination. Its failure is a `SelfCheckError`, a fault rather than bad
+    input. The checked result is kept on ``s``, so each `StateSpace` object
+    is converted at most once and every later call returns that same
+    immutable `IoSystem`. A failed check keeps nothing.
     """
+    if s._io_form is not None:
+        return s._io_form
     n, m, p = s.n, s.m, s.p
     A, dA = _integer_rows(s.A)
     B, dB = _integer_rows(s.B)
@@ -406,6 +419,7 @@ def statespace_to_io(s: StateSpace) -> IoSystem:
     sys = IoSystem(PolyMatrix(P_rows, cols=p), PolyMatrix(Q_rows, cols=m))
     if not check_io_form(sys):
         raise SelfCheckError("state elimination did not yield input-output form")
+    object.__setattr__(s, "_io_form", sys)
     return sys
 
 
@@ -415,13 +429,44 @@ def statespace_to_kernel(s: StateSpace) -> KernelRep:
     return statespace_to_io(s).kernel()
 
 
+def _nonsingular(a: list[list[int]]) -> bool:
+    """Whether a square integer matrix has a nonzero determinant, by one
+    fraction-free (Bareiss) elimination. Each step takes out the first row
+    with a nonzero first entry and eliminates that column from the others;
+    the division by the previous pivot is exact."""
+    prev = 1
+    while a:
+        top = next((row for row in a if row[0]), None)
+        if top is None:
+            return False
+        a.remove(top)
+        a = [[(top[0] * x - row[0] * y) // prev for x, y in zip(row[1:], top[1:])] for row in a]
+        prev = top[0]
+    return True
+
+
 def check_io_form(sys: IoSystem) -> bool:
     """True iff P is invertible and the transfer matrix P^-1 Q is proper.
 
-    Decided inside Q[s]: `is_proper` compares the degrees of the Cramer
-    numerators of P^-1 Q with deg det P, all from one fraction-free
-    elimination of [P | Q], so no rational function is formed.
+    Decided inside Q[s], by structure where it can be. Let nu_i be the
+    degree of row i of P, and P_hr the constant matrix of the coefficients
+    of s^nu_i in row i. When no row of P is zero and P_hr is nonsingular, P
+    is row reduced: det P is nonzero, of degree sum nu_i, and P^-1 Q is
+    proper iff every entry of row i of Q has degree at most nu_i (Kailath,
+    *Linear Systems*, 1980, sec. 6.3). `statespace_to_io` builds P row
+    reduced, so its self-check takes this route. Otherwise `is_proper`
+    decides, comparing the degrees of the Cramer numerators of P^-1 Q with
+    deg det P, all from one fraction-free elimination of [P | Q]. Either way
+    no rational function is formed.
     """
+    P = sys.P.entries
+    nu = [max(e.degree for e in row) for row in P]
+    if all(d >= 0 for d in nu):
+        den = lcm(*(e.den for row in P for e in row))
+        hr = [[e.num[d] * (den // e.den) if e.degree == d else 0 for e in row]
+              for row, d in zip(P, nu)]
+        if _nonsingular(hr):
+            return all(e.degree <= d for row, d in zip(sys.Q.entries, nu) for e in row)
     try:
         return is_proper(sys.P, sys.Q)
     except SingularMatrixError:

@@ -70,7 +70,11 @@ def implements(sys: IoSystem | StateSpace, c: Contract) -> Verdict:
     Holds iff the system's output behavior under assumption-compatible inputs
     is contained in the guarantees. The system's dimensions must match the
     contract's; then state-space systems are converted to input-output form,
-    and systems not in input-output form are rejected.
+    and systems not in input-output form are rejected. A `StateSpace` is
+    converted once per object, so checking one system against several
+    contracts pays for one conversion. `check_io_form` certifies an
+    `IoSystem` from the row degrees of P when P is row reduced, and from the
+    Cramer numerators of P^-1 Q otherwise.
     """
     if sys.m != c.input_dim or sys.p != c.output_dim:
         raise DimensionError(

@@ -29,7 +29,8 @@ The exponent after "^" is at most `MAX_EXPONENT`, an integer has at most
 and the matrix R of a kernel have at most `MAX_DIMENSION` rows, the inputs
 and outputs of a statespace or an iosystem add up to at most
 `MAX_DIMENSION`, and a bare matrix literal (`parse_matrix_text`) has at most
-`MAX_DIMENSION` rows and columns.
+`MAX_DIMENSION` rows and columns. A matrix with too many rows is refused as
+soon as its next row starts: the rows after it are counted, not parsed.
 
 In a statespace a matrix written ``[]`` is empty and takes the shape the
 others imply (`StateSpace.from_lists`), so ``A [] B [] C [] D [[2, 1]]`` is
@@ -156,6 +157,7 @@ class Document:
 _TOKEN = re.compile(r"(?:[ \t\r]+|#.*)*(\n|[0-9]+|\w+|[][{},:+\-*^/]|.|\Z)")
 _DIGITS = frozenset("0123456789")
 _STARTS = frozenset("0123456789_[]{},:+-*^/")
+_BRACKETS = frozenset("[]")
 
 
 # --------------------------------------------------------------------------
@@ -292,7 +294,11 @@ class _Parser:
                 return Poly(coeffs) if rational else _poly(coeffs, 1)
             i += 1
 
-    def parse_matrix(self) -> list[list[Poly]]:
+    def parse_matrix(self, cap: str = "", at: int = 0) -> list[list[Poly]]:
+        """The rows of a matrix literal. With a ``cap``, the name of its row
+        count, a matrix of more than `MAX_DIMENSION` rows is refused at token
+        ``at`` as soon as its next row starts; the rows left are counted by
+        bracket depth, and none of them is parsed."""
         toks = self.tokens
         self.expect("[")
         rows: list[list[Poly]] = []
@@ -311,6 +317,18 @@ class _Parser:
                 self.expect("]")
                 return rows
             self.pos += 1
+            if cap and len(rows) == MAX_DIMENSION:
+                self.cap(cap, len(rows) + self.rows_left(), at)
+
+    def rows_left(self) -> int:
+        """The rows opened from the current token to the end of the matrix."""
+        depth = count = 0
+        for t in filter(_BRACKETS.__contains__, islice(self.tokens, self.pos, None)):
+            depth += 1 if t == "[" else -1
+            if depth < 0:
+                break
+            count += t == "[" and depth == 1
+        return count
 
     def parse_varlist(self) -> list[tuple[str, int]]:
         labels, total = [], 0
@@ -356,10 +374,12 @@ class _Parser:
         refs = value if kind == "contract" else ()
         return Definition(kind, name, value, refs, self.source, line)
 
-    def field_matrix(self, keyword: str, cols: int | None = None) -> PolyMatrix:
+    def field_matrix(self, keyword: str, cols: int | None = None, cap: str = "") -> PolyMatrix:
+        """The matrix after ``keyword``; a ``cap`` names its row count in the
+        error for more than `MAX_DIMENSION` rows, at the keyword."""
         self.expect(keyword)
         line = self.line(self.pos)
-        rows = self.parse_matrix()
+        rows = self.parse_matrix(cap, self.pos - 1)
         try:
             return PolyMatrix(rows, cols=cols if not rows else None)
         except ValueError as exc:
@@ -369,17 +389,14 @@ class _Parser:
 
     def parse_statespace_body(self) -> StateSpace:
         i = self.pos
-        A = self.field_matrix("A")
-        self.cap("state dimension", A.rows, i)
-        B, C, D = (self.field_matrix(keyword) for keyword in "BCD")
-        s = StateSpace.from_lists(A.entries, B.entries, C.entries, D.entries)
+        A = self.field_matrix("A", cap="state dimension")
+        s = StateSpace.from_lists(A, *(self.field_matrix(keyword) for keyword in "BCD"))
         self.cap("inputs plus outputs", s.m + s.p, i)
         return s
 
     def parse_iosystem_body(self) -> IoSystem:
         i = self.pos
-        P = self.field_matrix("P")
-        self.cap("output count", P.rows, i)
+        P = self.field_matrix("P", cap="output count")
         Q = self.field_matrix("Q")
         # Written ``[]``, Q has P's rows and no columns: a system without inputs.
         system = IoSystem(P, Q if Q.rows else PolyMatrix([()] * P.rows, cols=0))
@@ -389,9 +406,7 @@ class _Parser:
     def parse_kernel_body(self) -> KernelRep:
         self.expect("vars")
         labels = self.parse_varlist()
-        i = self.pos
-        R = self.field_matrix("R", cols=sum(d for _, d in labels))
-        self.cap("kernel row count", R.rows, i)
+        R = self.field_matrix("R", cols=sum(d for _, d in labels), cap="kernel row count")
         return KernelRep(R, labels)
 
     def parse_latent_body(self) -> LatentRep:
@@ -558,11 +573,10 @@ def matrix_coeffs(M: PolyMatrix) -> list[list[list[str]]]:
 def parse_matrix_text(text: str, source: str = "<matrix>") -> PolyMatrix:
     """Parse a bare matrix literal such as ``[[s^2+1, -s], [0, 1]]``."""
     parser = _Parser(text, source)
-    rows = parser.parse_matrix()
+    rows = parser.parse_matrix("matrix row count")
     if parser.tokens[parser.pos]:
         raise parser.error(f"expected end of input, found {parser.shown(parser.pos)}")
     if not rows:
         raise parser.error("empty matrix literal has unknown column count", 0)
-    parser.cap("matrix row count", len(rows), 0)
     parser.cap("matrix column count", len(rows[0]), 0)
     return PolyMatrix(rows)

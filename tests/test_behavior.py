@@ -29,6 +29,7 @@ from agverify.polyalg import ONE, S, ZERO, Poly
 from agverify.polymatrix import (
     PolyMatrix,
     SelfCheckError,
+    SingularMatrixError,
     hstack,
     is_proper,
     rank_generic,
@@ -329,6 +330,10 @@ class TestStateSpaceConversion:
         s = StateSpace.from_lists([[0]], [], [[1]], [])
         assert (s.n, s.m, s.p, s.B.rows, s.D.rows) == (1, 0, 1, 1, 1)
         assert statespace_to_io(s).P == PolyMatrix([[S]])
+        # Matrices are kept as given, and an empty one is shaped as a list.
+        A, C = PolyMatrix([[0]]), PolyMatrix([[1]])
+        t = StateSpace.from_lists(A, PolyMatrix([]), C, [])
+        assert t == s and t.A is A and t.C is C
 
     @settings(deadline=None, max_examples=150)
     @given(statespace_systems())
@@ -400,6 +405,41 @@ class TestStateSpaceConversion:
         assert transfer_identity_holds(s, io.P, io.Q)
 
 
+def io_of(s: StateSpace) -> IoSystem:
+    """The input-output form of an equal, newly built system."""
+    return statespace_to_io(StateSpace(s.A, s.B, s.C, s.D))
+
+
+@st.composite
+def io_form_instances(draw):
+    """IoSystems of every kind `check_io_form` tells apart: P row reduced,
+    nonsingular but not row reduced, singular, or with a zero row; m = 0 and
+    p = 0 included. Q's degrees straddle P's row degrees."""
+    p = draw(st.integers(min_value=0, max_value=3))
+    m = draw(st.integers(min_value=0, max_value=2))
+    coeff = st.fractions(-3, 3, max_denominator=4)
+    kind = draw(st.sampled_from(("row reduced", "not row reduced", "singular", "zero row")))
+    nus = [draw(st.integers(min_value=0, max_value=2)) for _ in range(p)]
+    H = draw(poly_matrices(p, p, 0, coeff))
+    assume(fraction_rank(eval_matrix(H, 0)) == p)
+    rows = [
+        [h * S**nu + draw(poly_matrices(1, 1, nu - 1, coeff))[0, 0] if nu else h for h in row]
+        for nu, row in zip(nus, H.entries)
+    ]
+    if p >= 2 and kind == "not row reduced":
+        # Adding s^d times row 1 to row 0, for d above nu_0 - nu_1, repeats
+        # row 1's leading coefficients in row 0 and keeps det P.
+        d = max(nus[0] - nus[1], 0) + draw(st.integers(min_value=1, max_value=2))
+        rows[0] = [a + S**d * b for a, b in zip(rows[0], rows[1])]
+    elif p and kind == "singular":
+        factor = draw(poly_matrices(1, 1, 1, coeff))[0, 0]
+        rows[-1] = [e * factor for e in rows[0]]
+    elif p and kind == "zero row":
+        rows[draw(st.integers(min_value=0, max_value=p - 1))] = [ZERO] * p
+    Q = draw(poly_matrices(p, m, 3, coeff))
+    return IoSystem(PolyMatrix(rows, cols=p), Q)
+
+
 class TestCheckIoForm:
     def test_integrator(self):
         assert check_io_form(IoSystem(PolyMatrix([[S]]), PolyMatrix([[ONE]])))
@@ -409,6 +449,88 @@ class TestCheckIoForm:
 
     def test_singular(self):
         assert not check_io_form(IoSystem(PolyMatrix([[ZERO]]), PolyMatrix([[ONE]])))
+
+    @settings(deadline=None, max_examples=150)
+    @given(io_form_instances())
+    def test_matches_cramer_numerators(self, sys):
+        try:
+            expected = is_proper(sys.P, sys.Q)
+        except SingularMatrixError:
+            expected = False
+        assert check_io_form(sys) == expected
+
+    def test_row_reduced_needs_no_elimination(self, monkeypatch):
+        # Row degrees 2 and 1, P_hr = [[1, 1], [0, 2]]: proper iff Q's rows
+        # have degree at most 2 and 1.
+        def eliminated(*args):
+            raise AssertionError("is_proper ran")
+
+        monkeypatch.setattr(behavior, "is_proper", eliminated)
+        P = PolyMatrix([[S**2 + 1, S**2], [ONE, 2 * S]])
+        assert check_io_form(IoSystem(P, PolyMatrix([[S**2, ONE], [S, 3]])))
+        assert not check_io_form(IoSystem(P, PolyMatrix([[S**2, ONE], [S**2, 3]])))
+        assert check_io_form(io_of(QUARTER_CAR))
+
+    def test_falls_back_when_not_row_reduced(self):
+        # det P = -1, but P_hr = [[0, 1], [0, 1]] is singular, so the row
+        # degrees 2 and 1 decide nothing: P^-1 [1; 0] = [-s; 1] is not proper.
+        P = PolyMatrix([[S, S**2 + 1], [ONE, S]])
+        assert check_io_form(IoSystem(P, PolyMatrix([[S], [ONE]])))
+        assert not check_io_form(IoSystem(P, PolyMatrix([[ONE], [ZERO]])))
+
+
+class TestConversionIsKept:
+    """`statespace_to_io` converts each `StateSpace` object at most once."""
+
+    @staticmethod
+    def system():
+        return StateSpace.from_lists([[0, 1], [0, 0]], [[1, -1], [1, -1]], [[1, 0]], [[1, 0]])
+
+    @staticmethod
+    def count_checks(monkeypatch) -> list:
+        calls = []
+
+        def counted(sys):
+            calls.append(sys)
+            return check_io_form(sys)
+
+        monkeypatch.setattr(behavior, "check_io_form", counted)
+        return calls
+
+    def test_same_object_every_call(self, monkeypatch):
+        s = self.system()
+        calls = self.count_checks(monkeypatch)
+        io = statespace_to_io(s)
+        assert statespace_to_io(s) is io
+        assert statespace_to_kernel(s) == io.kernel()
+        assert calls == [io]
+
+    def test_equal_system_converts_by_itself(self, monkeypatch):
+        s, t = self.system(), self.system()
+        before = (hash(s), repr(s))
+        calls = self.count_checks(monkeypatch)
+        io = statespace_to_io(s)
+        assert s == t and (hash(s), repr(s)) == before == (hash(t), repr(t))
+        io_t = statespace_to_io(t)
+        assert io_t == io and io_t is not io
+        assert len(calls) == 2
+
+    def test_failed_check_keeps_nothing(self, monkeypatch):
+        s = self.system()
+        monkeypatch.setattr(behavior, "check_io_form", lambda sys: False)
+        for _ in range(2):
+            with pytest.raises(SelfCheckError):
+                statespace_to_io(s)
+        monkeypatch.undo()
+        assert statespace_to_io(s) == io_of(s)
+
+    def test_kept_form_stays_out_of_the_value(self):
+        s = self.system()
+        statespace_to_io(s)
+        assert "IoSystem" not in repr(s)
+        with pytest.raises(AttributeError):
+            s.A = s.A
+        assert StateSpace(s.A, s.B, s.C, s.D) == s
 
 
 @st.composite

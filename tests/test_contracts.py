@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import agverify
-from agverify import contracts
+from agverify import behavior, contracts
 from agverify.behavior import (
     InclusionWitness,
     IoSystem,
@@ -14,6 +14,7 @@ from agverify.behavior import (
     StateSpace,
     behavior_equal,
     behavior_included,
+    check_io_form,
     statespace_to_io,
 )
 from agverify.contracts import (
@@ -102,6 +103,20 @@ class TestImplements:
         differentiator = IoSystem(PolyMatrix([[ONE]]), PolyMatrix([[S, ZERO]]))
         with pytest.raises(IoFormError):
             implements(differentiator, C)
+
+    def test_one_conversion_for_several_contracts(self, monkeypatch):
+        lattice = (C, C0, C1, C2)
+        expected = [implements(SYS, c).holds for c in lattice]
+        checked = []
+
+        def counted(sys):
+            checked.append(sys)
+            return check_io_form(sys)
+
+        monkeypatch.setattr(behavior, "check_io_form", counted)
+        system = StateSpace(SYS.A, SYS.B, SYS.C, SYS.D)
+        assert [implements(system, c).holds for c in lattice] == expected
+        assert checked == [statespace_to_io(system)]
 
     def test_dimensions_checked_before_conversion(self, monkeypatch):
         def fail(system):

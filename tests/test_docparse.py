@@ -319,6 +319,45 @@ class TestDefinitions:
                 parse(text)
             assert message in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_document, "kernel K { vars y:1 R [{rows}] }",
+             "<string>:1:21: kernel row count 20000 is above the maximum 100"),
+            (parse_document, "statespace S { A [{rows}] B [[1]] C [[1]] D [[0]] }",
+             "<string>:1:16: state dimension 20000 is above the maximum 100"),
+            (parse_document, "iosystem IO { P [{rows}] Q [] }",
+             "<string>:1:15: output count 20000 is above the maximum 100"),
+            (parse_matrix_text, "[{rows}]", "<matrix>:1:1: matrix row count 20000 is above the maximum 100"),
+        ],
+        ids=["kernel", "statespace", "iosystem", "literal"],
+    )
+    def test_over_cap_rows_are_counted_not_parsed(self, monkeypatch, parse, text, message):
+        parsed = []
+        parse_poly = _Parser.parse_poly
+
+        def counted(parser):
+            parsed.append(parser.pos)
+            return parse_poly(parser)
+
+        monkeypatch.setattr(_Parser, "parse_poly", counted)
+        with pytest.raises(ParseError) as exc:
+            parse(text.replace("{rows}", ", ".join(["[s^2 + 3*s + 1]"] * 20000)))
+        assert str(exc.value) == message
+        assert len(parsed) <= MAX_DIMENSION + 1
+
+    def test_statespace_matrices_are_built_once(self, monkeypatch):
+        built = []
+        init = PolyMatrix.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PolyMatrix, "__init__", counted)
+        s = parse_document("statespace S { A [[0]] B [[1, 2]] C [[1]] D [[0, 1]] }").get("S").value
+        assert (s.n, s.m, s.p) == (1, 2, 1) and len(built) == 4
+
     def test_output_count_cap(self):
         def iosystem(n):
             P = ", ".join("[" + ", ".join("s" if j == i else "0" for j in range(n)) + "]" for i in range(n))
