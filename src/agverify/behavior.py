@@ -7,9 +7,14 @@ input-output form), conversions between them by exact latent-variable
 elimination, and the central decision procedure `behavior_included`, which
 decides containment of one behavior in another and produces a polynomial
 multiplier certificate that third parties can re-check by a single matrix
-multiplication. Minimization and latent elimination are one
-`polymatrix.row_echelon` scan each, so their results are minimal by
-construction. A state-space system goes to input-output form without
+multiplication. Minimization is one `polymatrix.row_echelon` scan, so its
+result is minimal by construction, and so is latent elimination when the
+latent map E leaves two rows or more. When E has at most one row more than
+its rank, as in the interconnection of a system with as many inputs as
+outputs, and Q of full rank, under one assumption equation, the one row
+that elimination can keep comes from Cramer's rule instead: one
+fraction-free pass on E^T and one polynomial gcd give it, equal to the row
+the scan would keep. A state-space system goes to input-output form without
 elimination, from its observability indices (Polderman & Willems,
 *Introduction to Mathematical Systems Theory*, 1998, ch. 6; Kailath, *Linear
 Systems*, 1980, sec. 6.4): one integer scan of relation rows, each a
@@ -31,16 +36,18 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import zip_longest
 from math import gcd, lcm
 from operator import mul
 
-from .polyalg import Poly, Scalar, _frac, _poly
+from .polyalg import Poly, Scalar, _frac, _gcd, _poly
 from .polymatrix import (
     DimensionError,
     PolyMatrix,
     SelfCheckError,
     SingularMatrixError,
+    _fraction_free,
     _left_quotient,
     hstack,
     is_proper,
@@ -299,13 +306,46 @@ def minimal_kernel(k: KernelRep) -> KernelRep:
 def eliminate_latent(l: LatentRep) -> KernelRep:
     """Project a latent-variable representation onto its manifest signals.
 
-    One `row_echelon` scan of [E | manifest], on E's columns and then on the
-    manifest's, gives W E = [H; 0; 0] and W manifest = [M1; M2; 0] for a
+    Let E (q x m) be the latent map and M the manifest. The v with v E = 0
+    form the left kernel of E, a free module of rank kappa = q - rank E, and
+    its generators times M represent the projected behavior. As
+    kappa >= q - m, the route is chosen from the shapes when q - m >= 2.
+
+    When kappa <= 1 the result comes from one fraction-free (Bareiss) pass
+    on E^T, the one that serves inclusion and properness, by Cramer's rule.
+    The pass pivots on the first independent rows J of E. kappa = 0 leaves
+    no row. For kappa = 1, let c be the one row of E without a pivot: the
+    skipped column holds d X_i in its top rows, for d the last pivot and X_i
+    the coefficient of row c on row J_i, so v with v_J_i = d X_i and
+    v_c = -d has v E = 0. Divided by the gcd of its entries (`_gcd`), v
+    generates the left kernel, and the result is the row v M, monic in its
+    first nonzero entry, or no row when v M = 0.
+
+    When kappa >= 2, one `row_echelon` scan of [E | M], on E's columns and
+    then on M's, gives W E = [H; 0; 0] and W M = [M1; M2; 0] for a
     unimodular W, with H and M2 of full row rank. Every w with M2 w = 0 has
     a latent l with H l = M1 w, as H is surjective on smooth functions, so
     M2 is a minimal representation of the projected behavior.
+
+    The routes agree when kappa <= 1: the scan then keeps at most the row
+    w M of one row w of W with w E = 0. A row of a unimodular matrix has
+    entries of gcd 1, so w is a constant multiple of the generator v, and
+    the scan also writes its pivot rows monic in their first nonzero entry.
     """
-    E, M = l.latent_map, l.manifest
+    E, M, q = l.latent_map, l.manifest, l.latent_map.rows
+    if q - E.cols < 2:
+        pivots, _, d, right, _ = _fraction_free(list(zip(*E.entries)), q)
+        if len(pivots) == q:
+            return KernelRep(PolyMatrix([], cols=M.cols), l.signal_labels)
+        if len(pivots) == q - 1:
+            v = [right[pivots.index(j)][0] if j in pivots else -d for j in range(q)]
+            g = _poly(reduce(_gcd, [e.num for e in v if e]), 1)
+            if not g.is_constant:
+                v = [e // g for e in v]
+            row = (PolyMatrix([v], cols=q) * M).entries[0]
+            lead = next((e for e in row if e), None)
+            kept = [[e / lead.lc for e in row]] if lead else []
+            return KernelRep(PolyMatrix(kept, cols=M.cols), l.signal_labels)
     a = [list(e) + list(m) for e, m in zip(E.entries, M.entries)]
     pivots = row_echelon(a, E.cols + M.cols)
     rank = sum(c < E.cols for c in pivots)
@@ -520,7 +560,11 @@ def interconnect(env: KernelRep, sys: IoSystem) -> KernelRep:
 
     Stacks P y = Q u on top of 0 = E u, treats u as a latent signal and
     eliminates it, returning a minimal kernel representation over the output
-    signals.
+    signals. The latent map [Q; E] has p + e rows, for e assumption
+    equations. When its rank is p + e - 1, for instance with as many inputs
+    as outputs, one equation and Q nonsingular, `eliminate_latent` takes the
+    one row it leaves from Cramer's rule instead of a `row_echelon` scan;
+    the row is the one the scan would keep.
     """
     if env.dim != sys.m:
         raise DimensionError(

@@ -25,12 +25,17 @@ computed only for an error message.
 
 The exponent after "^" is at most `MAX_EXPONENT`, an integer has at most
 `MAX_DIGITS` digits, and the dimensions of a varlist add up to at most
-`MAX_DIMENSION`. The matrix A of a statespace, the matrix P of an iosystem
-and the matrix R of a kernel have at most `MAX_DIMENSION` rows, the inputs
-and outputs of a statespace or an iosystem add up to at most
-`MAX_DIMENSION`, and a bare matrix literal (`parse_matrix_text`) has at most
-`MAX_DIMENSION` rows and columns. A matrix with too many rows is refused as
-soon as its next row starts: the rows after it are counted, not parsed.
+`MAX_DIMENSION`. The matrix A of a statespace, the matrix P of an iosystem,
+the matrix R of a kernel and the matrices R and E of a latent have at most
+`MAX_DIMENSION` rows, the inputs and outputs of a statespace or an iosystem
+add up to at most `MAX_DIMENSION`, and a bare matrix literal
+(`parse_matrix_text`) has at most `MAX_DIMENSION` rows and columns. A matrix
+with too many rows is refused as soon as its next row starts: the rows after
+it are counted, not parsed. The other matrices stop being parsed one row
+past what their shapes allow: B past the rows of A, Q past the rows of P,
+D past the rows of C, and C past `MAX_DIMENSION`. Their rows after that are
+counted, so an error in them goes unreported, and the definition is refused
+with the message that the whole matrix would have given.
 
 In a statespace a matrix written ``[]`` is empty and takes the shape the
 others imply (`StateSpace.from_lists`), so ``A [] B [] C [] D [[2, 1]]`` is
@@ -48,7 +53,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, islice
 
 from .behavior import IoSystem, KernelRep, LatentRep, StateSpace
 from .contracts import Contract
@@ -69,12 +74,12 @@ MAX_DIGITS = 4300
 
 # Largest total dimension of the signals in a ``vars`` list and of the inputs
 # and outputs of a system (``eliminate`` prints them as one list), largest
-# state dimension of a ``statespace``, largest row count of a kernel's R, and
-# largest row or column count of a bare matrix literal. Several steps build
-# an identity of the signal dimension, state elimination scans up to n rows
-# of n entries, and the Smith form and inclusion reduce every row and column
-# of a kernel, so time and memory grow at least with the square of each of
-# these; a larger one is a `ParseError`.
+# state dimension of a ``statespace``, largest row count of a kernel's R and
+# of a latent's R and E, and largest row or column count of a bare matrix
+# literal. Several steps build an identity of the signal dimension, state
+# elimination scans up to n rows of n entries, and the Smith form and
+# inclusion reduce every row and column of a kernel, so time and memory grow
+# at least with the square of each of these; a larger one is a `ParseError`.
 MAX_DIMENSION = 100
 
 
@@ -169,7 +174,8 @@ class _Parser:
     """Parses one text, over its tokens with the newlines taken out.
 
     ``tokens`` ends with "", the end of input, and ``breaks[k]`` is the index
-    of the first token after the k-th newline.
+    of the first token after the k-th newline. ``total`` is the row count of
+    the last matrix read, with the rows counted past a limit.
     """
 
     def __init__(self, text: str, source: str):
@@ -294,17 +300,22 @@ class _Parser:
                 return Poly(coeffs) if rational else _poly(coeffs, 1)
             i += 1
 
-    def parse_matrix(self, cap: str = "", at: int = 0) -> list[list[Poly]]:
-        """The rows of a matrix literal. With a ``cap``, the name of its row
-        count, a matrix of more than `MAX_DIMENSION` rows is refused at token
-        ``at`` as soon as its next row starts; the rows left are counted by
-        bracket depth, and none of them is parsed."""
+    def parse_matrix(self, cap: str = "", at: int = 0, limit: int = MAX_DIMENSION) -> list[list[Poly]]:
+        """The rows of a matrix literal, with ``total`` set to their count.
+
+        With a ``cap``, the name of its row count, a matrix of more than
+        ``limit`` rows is refused at token ``at`` as soon as its next row
+        starts. Without one, it keeps its first ``limit + 1`` rows, which
+        compare with ``limit`` as all of them do. Either way the rows left
+        are counted by bracket depth, and none of them is parsed."""
         toks = self.tokens
         self.expect("[")
         rows: list[list[Poly]] = []
+        self.total = 0
         if toks[self.pos] == "]":
             self.pos += 1
             return rows
+        keep = limit if cap else limit + 1
         while True:
             self.expect("[")
             row = [self.parse_poly()]
@@ -315,19 +326,27 @@ class _Parser:
             rows.append(row)
             if toks[self.pos] != ",":
                 self.expect("]")
+                self.total = len(rows)
                 return rows
             self.pos += 1
-            if cap and len(rows) == MAX_DIMENSION:
-                self.cap(cap, len(rows) + self.rows_left(), at)
+            if len(rows) == keep:
+                self.total = len(rows) + self.skip_rows()
+                if cap:
+                    self.cap(cap, self.total, at)
+                return rows
 
-    def rows_left(self) -> int:
-        """The rows opened from the current token to the end of the matrix."""
-        depth = count = 0
-        for t in filter(_BRACKETS.__contains__, islice(self.tokens, self.pos, None)):
-            depth += 1 if t == "[" else -1
+    def skip_rows(self) -> int:
+        """Steps from the start of a row to after the "]" that closes the
+        matrix, or to the end of input, and counts the rows it opens."""
+        toks, depth, count = self.tokens, 0, 0
+        inside = map(_BRACKETS.__contains__, islice(toks, self.pos, None))
+        for i in compress(range(self.pos, len(toks)), inside):
+            depth += 1 if toks[i] == "[" else -1
             if depth < 0:
-                break
-            count += t == "[" and depth == 1
+                self.pos = i + 1
+                return count
+            count += depth == 1 and toks[i] == "["
+        self.pos = len(toks) - 1
         return count
 
     def parse_varlist(self) -> list[tuple[str, int]]:
@@ -374,12 +393,15 @@ class _Parser:
         refs = value if kind == "contract" else ()
         return Definition(kind, name, value, refs, self.source, line)
 
-    def field_matrix(self, keyword: str, cols: int | None = None, cap: str = "") -> PolyMatrix:
-        """The matrix after ``keyword``; a ``cap`` names its row count in the
-        error for more than `MAX_DIMENSION` rows, at the keyword."""
+    def field_matrix(
+        self, keyword: str, cols: int | None = None, cap: str = "", limit: int = MAX_DIMENSION
+    ) -> PolyMatrix:
+        """The matrix after ``keyword``, as `parse_matrix` reads it; a ``cap``
+        names its row count in the error for more than ``limit`` rows, at the
+        keyword."""
         self.expect(keyword)
         line = self.line(self.pos)
-        rows = self.parse_matrix(cap, self.pos - 1)
+        rows = self.parse_matrix(cap, self.pos - 1, limit)
         try:
             return PolyMatrix(rows, cols=cols if not rows else None)
         except ValueError as exc:
@@ -388,16 +410,25 @@ class _Parser:
             ) from exc
 
     def parse_statespace_body(self) -> StateSpace:
+        """B, C and D are read to one row past what their shapes allow, and
+        C to one past the cap, so `StateSpace` refuses them as it would the
+        whole matrices; the cap reads the output count off the rows counted."""
         i = self.pos
         A = self.field_matrix("A", cap="state dimension")
-        s = StateSpace.from_lists(A, *(self.field_matrix(keyword) for keyword in "BCD"))
-        self.cap("inputs plus outputs", s.m + s.p, i)
+        B = self.field_matrix("B", limit=A.rows)
+        C = self.field_matrix("C")
+        p = self.total
+        D = self.field_matrix("D", limit=min(p, MAX_DIMENSION) if p or A.rows else MAX_DIMENSION)
+        if D.rows == C.rows and self.total != p:  # C was cut, and D has another row count
+            D = PolyMatrix(D.entries[:-1])
+        s = StateSpace.from_lists(A, B, C, D)
+        self.cap("inputs plus outputs", s.m + (p or self.total), i)
         return s
 
     def parse_iosystem_body(self) -> IoSystem:
         i = self.pos
         P = self.field_matrix("P", cap="output count")
-        Q = self.field_matrix("Q")
+        Q = self.field_matrix("Q", limit=P.rows)
         # Written ``[]``, Q has P's rows and no columns: a system without inputs.
         system = IoSystem(P, Q if Q.rows else PolyMatrix([()] * P.rows, cols=0))
         self.cap("inputs plus outputs", system.m + system.p, i)
@@ -416,8 +447,8 @@ class _Parser:
         latent = self.name("a latent signal name")
         self.expect(":")
         latent_dim = self.integer()
-        R = self.field_matrix("R", cols=sum(d for _, d in labels))
-        E = self.field_matrix("E", cols=latent_dim)
+        R = self.field_matrix("R", cols=sum(d for _, d in labels), cap="latent row count")
+        E = self.field_matrix("E", cols=latent_dim, cap="latent row count")
         if E.cols != latent_dim:
             raise ValueError(f"matrix E has {E.cols} columns but {latent}:{latent_dim} is declared")
         return LatentRep(R, E, labels)

@@ -11,9 +11,11 @@ A `Poly` divides only by a scalar; `divmod` divides by a polynomial. The
 text of a polynomial, and of each coefficient (`_coeff_text`), is printed from
 the integer numerators and the denominator, without a `Fraction`.
 
-`RatFunc`, `poly_gcd` and `poly_lcm` take no part in any decision: every
-decision stays in Q[s]. `poly_gcd` and `poly_lcm` are an independent
-reference for the tests of the matrix and contract layers. `RatFunc` has no
+The package has one polynomial gcd, `_gcd`, a primitive remainder sequence
+on integer coefficient lists; latent elimination (`behavior.eliminate_latent`)
+runs it directly. `poly_gcd` is its monic wrapper on `Poly`, and it and
+`poly_lcm` serve the tests of the matrix and contract layers. `RatFunc`
+takes no part in any decision: every decision stays in Q[s]. It has no
 arithmetic: it keeps only its normalising constructor and `is_proper`, for
 its own tests and for the benchmark tracer in ``perfbench/``, which counts
 its constructions.
@@ -365,16 +367,34 @@ ONE = Poly([1])
 S = Poly([0, 1])
 
 
+def _gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Greatest common divisor of integer coefficient lists in ascending
+    powers, not both empty and without trailing zeros, as the unique
+    polynomial with integer coefficients of gcd 1 and a positive leading
+    coefficient. A primitive remainder sequence (Brown, J. ACM 18, 1971):
+    each pseudo-remainder (`_pseudo_divmod`) is divided by its content, so
+    the gcd is found without a `Fraction` or a `Poly`. A nonzero constant
+    remainder ends it: the gcd is then 1."""
+    while len(b) > 1:
+        r = _pseudo_divmod(a, b)[1]
+        g = gcd(*r) or 1
+        a, b = b, [x // g for x in r]
+    if b:
+        return [1]
+    g = gcd(*a) if a[-1] > 0 else -gcd(*a)
+    return [x // g for x in a]
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor of two polynomials.
+    """Monic greatest common divisor of two polynomials, from `_gcd` on
+    their numerators.
 
     Undefined for two zero inputs.
     """
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    g = _gcd(a.num, b.num)
+    return _poly(g, g[-1])
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:

@@ -19,11 +19,11 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm
 
-from agverify import KernelRep, LatentRep, Poly, PolyMatrix, StateSpace, eliminate_latent
+from agverify import KernelRep, LatentRep, Poly, PolyMatrix, StateSpace
 from agverify.behavior import _io_labels
 from agverify.docparse import ParseError
 from agverify.polyalg import ZERO, S
-from agverify.polymatrix import block, hstack, vstack
+from agverify.polymatrix import block, hstack, row_echelon, vstack
 
 # ---------------------------------------------------------------------------
 # Exact linear algebra over plain Fractions
@@ -174,18 +174,48 @@ def row_echelon_reference(grid: list[list[Poly]], ncols: int):
     return pivots, a
 
 
+def eliminate_latent_reference(l: LatentRep) -> KernelRep:
+    """Latent elimination by one `row_echelon` scan of [E | manifest], on
+    E's columns and then on the manifest's, for every latent map E: the
+    rows zero on E's columns that get a pivot in the manifest's. This is
+    the route `behavior.eliminate_latent` keeps for a latent map that leaves
+    two rows or more."""
+    E, M = l.latent_map, l.manifest
+    a = [list(e) + list(m) for e, m in zip(E.entries, M.entries)]
+    pivots = row_echelon(a, E.cols + M.cols)
+    rank = sum(c < E.cols for c in pivots)
+    kept = PolyMatrix([row[E.cols:] for row in a[rank:len(pivots)]], cols=M.cols)
+    return KernelRep(kept, l.signal_labels)
+
+
+def gcd_reference(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by Euclid's algorithm over Q, on lists of `Fraction`
+    coefficients in ascending powers, not both zero."""
+    x, y = list(a.coeffs), list(b.coeffs)
+    while y:
+        while len(x) >= len(y):
+            f, shift = x[-1] / y[-1], len(x) - len(y)
+            for i, c in enumerate(y):
+                x[shift + i] -= f * c
+            while x and not x[-1]:
+                x.pop()
+        x, y = y, x
+    return Poly([c / x[-1] for c in x])
+
+
 def statespace_to_kernel_reference(s: StateSpace) -> KernelRep:
     """The external (u, y) behavior of a state-space system by eliminating
     the state from [sI - A; C] x = [B 0; -D I] (u, y) with
-    `eliminate_latent`, the construction `behavior.statespace_to_kernel`
-    used before it read the observability indices."""
+    `eliminate_latent_reference`, the construction
+    `behavior.statespace_to_kernel` used before it read the observability
+    indices."""
     n, p = s.n, s.p
     manifest = vstack(
         hstack(s.B, PolyMatrix.zeros(n, p)),
         hstack(-s.D, PolyMatrix.identity(p)),
     )
     latent = vstack(PolyMatrix.identity(n) * S - s.A, s.C)
-    return eliminate_latent(LatentRep(manifest, latent, _io_labels(s.m, p)))
+    return eliminate_latent_reference(LatentRep(manifest, latent, _io_labels(s.m, p)))
 
 
 def _primitive_polys(row: list[Poly]) -> list[Poly]:
@@ -275,7 +305,7 @@ def join_reference(a1: KernelRep, a2: KernelRep) -> KernelRep:
     I = PolyMatrix.identity(m)
     manifest = vstack(I, PolyMatrix.zeros(r1 + r2, m))
     latent = block([[I, I], [a1.R, PolyMatrix.zeros(r1, m)], [PolyMatrix.zeros(r2, m), a2.R]])
-    return eliminate_latent(LatentRep(manifest, latent, a1.signal_labels))
+    return eliminate_latent_reference(LatentRep(manifest, latent, a1.signal_labels))
 
 
 def numeric_full_row_rank(M: PolyMatrix, rng: random.Random, tries: int = 4) -> bool:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from agverify import behavior
+from agverify import behavior, contracts
 from agverify.behavior import (
     InclusionWitness,
     IoSystem,
@@ -37,6 +37,7 @@ from agverify.polymatrix import (
     vstack,
 )
 from support import (
+    eliminate_latent_reference,
     eval_matrix,
     evaluation_rank,
     fraction_rank,
@@ -48,7 +49,7 @@ from support import (
     statespace_to_kernel_reference,
     transfer_identity_holds,
 )
-from test_polymatrix import poly_matrices
+from test_polymatrix import poly_matrices, rationals
 
 W1 = (("w", 1),)
 W2 = (("w", 2),)
@@ -196,7 +197,78 @@ def latent_reps(draw):
     return LatentRep(M, E, (("w", dim),))
 
 
+@st.composite
+def elimination_cases(draw):
+    """Latent representations whose latent map E = X Y, with X q x r and Y
+    r x m, has rank at most r and leaves kappa = q - r rows or more: kappa
+    0, 1 and 2 or 3, E rank-deficient when r < m, no latent columns
+    (m = 0), a single row (q = 1), rational coefficients, a zero manifest
+    row, and a manifest E Z, for which no row is kept."""
+    m = draw(st.integers(min_value=0, max_value=3))
+    r = draw(st.integers(min_value=0, max_value=m))
+    q = r + draw(st.sampled_from((0, 1, 1, 2, 3)))
+    p = draw(st.integers(min_value=1, max_value=3))
+    coeff = rationals(3)
+    E = draw(poly_matrices(q, r, 1, coeff)) * draw(poly_matrices(r, m, 1, coeff))
+    kind = draw(st.sampled_from(("plain", "plain", "zero row", "through E")))
+    if kind == "through E":
+        M = E * draw(poly_matrices(m, p, 1, coeff))
+    else:
+        M = draw(poly_matrices(q, p, 2, coeff))
+        if kind == "zero row" and q:
+            M = PolyMatrix(M.entries[:-1] + ((ZERO,) * p,), cols=p)
+    return LatentRep(M, E, (("w", p),))
+
+
+def implements_ss_shaped(seed: int):
+    """An n = 5 state-space system with two inputs and two outputs, and a
+    contract of one degree-2 assumption equation, as in the benchmark's
+    `implements_ss`: the latent map [Q; E] of the interconnection is 3 x 2
+    of rank 2."""
+    rng = random.Random(seed)
+
+    def grid(rows, cols):
+        return [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+
+    system = StateSpace.from_lists(grid(5, 5), grid(5, 2), grid(2, 5), grid(2, 2))
+    env = [Poly([rng.randint(-3, 3), rng.randint(-3, 3), rng.choice((-2, -1, 1, 2))]) for _ in range(2)]
+    assumptions = KernelRep(PolyMatrix([env]), (("u", 2),))
+    return system, contracts.Contract(assumptions, KernelRep(PolyMatrix([[S, ONE]]), (("y", 2),)))
+
+
 class TestEliminateLatent:
+    @settings(deadline=None, max_examples=200)
+    @given(elimination_cases())
+    def test_matches_scan_reference(self, lat):
+        k, ref = eliminate_latent(lat), eliminate_latent_reference(lat)
+        assert (k.R.rows, k.R.cols) == (ref.R.rows, ref.R.cols)
+        assert k.R.entries == ref.R.entries and k.signal_labels == ref.signal_labels
+
+    def test_common_factor_of_the_kernel_row_is_divided_out(self):
+        # v = (s, -s) has v E = 0; the left kernel is generated by (1, -1).
+        lat = LatentRep(PolyMatrix([[ONE, S], [ZERO, S + 1]]), PolyMatrix([[S], [S]]), W2)
+        assert eliminate_latent(lat).R == PolyMatrix([[ONE, -ONE]])  # not (s, -s)
+        assert eliminate_latent(lat) == eliminate_latent_reference(lat)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_kept_row_runs_no_scan(self, echelon_calls, seed):
+        system, contract = implements_ss_shaped(seed)
+        contracts.implements(system, contract)
+        assert echelon_calls == []
+
+    def test_two_kept_rows_run_one_scan(self, echelon_calls, monkeypatch):
+        passes = []
+        fraction_free = behavior._fraction_free
+        monkeypatch.setattr(behavior, "_fraction_free", lambda *args: passes.append(1) or fraction_free(*args))
+        # q - m = 2 decides the route from the shapes, without a pass.
+        lat = LatentRep(PolyMatrix([[ONE], [S], [S**2]]), PolyMatrix([[S], [ONE], [S + 1]]), W1)
+        assert eliminate_latent(lat).R.rows == 1
+        assert (echelon_calls, passes) == ([2], [])
+        # A rank-deficient E: q - m = 1, and the pass finds kappa = 2.
+        lat = LatentRep(PolyMatrix([[ONE], [S]]), PolyMatrix([[ZERO], [ZERO]]), W1)
+        assert eliminate_latent(lat).R == PolyMatrix([[ONE]])
+        assert (echelon_calls, passes) == ([2, 2], [1])
+
     @settings(deadline=None, max_examples=80)
     @given(latent_reps())
     def test_one_scan_is_minimal_and_matches_two_passes(self, lat):

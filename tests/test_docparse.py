@@ -329,8 +329,12 @@ class TestDefinitions:
             (parse_document, "iosystem IO { P [{rows}] Q [] }",
              "<string>:1:15: output count 20000 is above the maximum 100"),
             (parse_matrix_text, "[{rows}]", "<matrix>:1:1: matrix row count 20000 is above the maximum 100"),
+            (parse_document, "latent L { vars w:1 latent l:1 R [{rows}] E [[1]] }",
+             "<string>:1:32: latent row count 20000 is above the maximum 100"),
+            (parse_document, "latent L { vars w:1 latent l:1 R [[1]] E [{rows}] }",
+             "<string>:1:40: latent row count 20000 is above the maximum 100"),
         ],
-        ids=["kernel", "statespace", "iosystem", "literal"],
+        ids=["kernel", "statespace", "iosystem", "literal", "latent R", "latent E"],
     )
     def test_over_cap_rows_are_counted_not_parsed(self, monkeypatch, parse, text, message):
         parsed = []
@@ -345,6 +349,44 @@ class TestDefinitions:
             parse(text.replace("{rows}", ", ".join(["[s^2 + 3*s + 1]"] * 20000)))
         assert str(exc.value) == message
         assert len(parsed) <= MAX_DIMENSION + 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("statespace S { A [[0]] B [{rows}] C [[1]] D [[0]] }",
+             "<string>:1: in statespace 'S': input matrix row count must match the state dimension"),
+            ("statespace S { A [[0, 1]] B [{rows}] C [[1]] D [[0]] }",
+             "<string>:1: in statespace 'S': state matrix must be square"),
+            ("statespace S { A [[0]] B [[1]] C [{rows}] D [[0]] }",
+             "<string>:1: in statespace 'S': feedthrough rows must match the output dimension"),
+            ("statespace S { A [[0]] B [[1]] C [{rows}] D [{rows}, [1]] }",
+             "<string>:1: in statespace 'S': feedthrough rows must match the output dimension"),
+            ("statespace S { A [[0]] B [[1]] C [{rows}] D [{rows}] }",
+             "<string>:1:16: inputs plus outputs 20001 is above the maximum 100"),
+            ("statespace S { A [[0]] B [[1]] C [[1]] D [{rows}] }",
+             "<string>:1: in statespace 'S': feedthrough rows must match the output dimension"),
+            ("statespace S { A [] B [] C [] D [{rows}] }",
+             "<string>:1:16: inputs plus outputs 20001 is above the maximum 100"),
+            ("iosystem IO { P [[s]] Q [{rows}] }",
+             "<string>:1: in iosystem 'IO': P and Q must have equal row counts"),
+        ],
+        ids=["B", "B, A not square", "C", "C and D apart", "C and D", "D", "D without states", "Q"],
+    )
+    def test_rows_past_the_shape_are_counted_not_parsed(self, monkeypatch, text, message):
+        # Each message is the one the whole matrix gives; at most a cap's
+        # worth of rows past a limit is parsed.
+        parsed = []
+        parse_poly = _Parser.parse_poly
+
+        def counted(parser):
+            parsed.append(parser.pos)
+            return parse_poly(parser)
+
+        monkeypatch.setattr(_Parser, "parse_poly", counted)
+        with pytest.raises((ParseError, DimensionInconsistencyError)) as exc:
+            parse_document(text.replace("{rows}", ", ".join(["[2]"] * 20000)))
+        assert str(exc.value) == message
+        assert len(parsed) <= 2 * (MAX_DIMENSION + 1) + 3
 
     def test_statespace_matrices_are_built_once(self, monkeypatch):
         built = []

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from agverify.docparse import poly_coeffs
 from agverify.polyalg import NEG_INF, ONE, S, ZERO, Poly, RatFunc, poly_gcd, poly_lcm
-from support import poly_text_reference
+from support import gcd_reference, poly_text_reference
 
 coeffs = st.lists(st.integers(min_value=-6, max_value=6), max_size=5)
 polys = coeffs.map(Poly)
@@ -133,7 +133,32 @@ class TestDivmod:
         assert divmod(p, p) == (ONE, ZERO)
 
 
+@st.composite
+def gcd_pairs(draw):
+    """Pairs with a common factor, with one zero argument, equal, coprime
+    (a and a * h + 1) or drawn apart, over integer and rational
+    coefficients, never both zero."""
+    poly = draw(st.sampled_from((polys, rational_lists.map(Poly))))
+    kind = draw(st.sampled_from(("common", "zero", "equal", "coprime", "any")))
+    a, b = draw(poly.filter(bool)), draw(poly)
+    if kind == "common":
+        f = draw(poly.filter(bool))
+        a, b = f * a, f * b
+    elif kind == "zero":
+        b = ZERO
+    elif kind == "equal":
+        b = a
+    elif kind == "coprime":
+        b = a * b + 1
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
 class TestGcd:
+    @given(gcd_pairs())
+    def test_matches_euclid_over_fractions(self, pair):
+        a, b = pair
+        assert poly_gcd(a, b) == gcd_reference(a, b)
+
     def test_common_factor(self):
         assert poly_gcd(S**2 - 1, S - 1) == S - 1
 
