@@ -19,9 +19,7 @@ from .behavior import (
     behavior_included,
     check_io_form,
     eliminate_latent,
-    exp_membership,
     interconnect,
-    is_autonomous,
     minimal_kernel,
     statespace_to_io,
     statespace_to_kernel,
@@ -47,19 +45,15 @@ from .docparse import (
     parse_document,
     parse_documents,
 )
-from .polyalg import ONE, S, ZERO, Poly, poly_gcd, poly_lcm
+from .polyalg import ONE, S, ZERO, Poly, poly_gcd
 from .polymatrix import (
     DimensionError,
     PolyMatrix,
     SelfCheckError,
     SingularMatrixError,
     SmithDecomposition,
-    block,
-    determinant,
     hstack,
     is_proper,
-    is_unimodular,
-    rank_generic,
     row_echelon,
     smith_form,
     vstack,

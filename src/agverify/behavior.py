@@ -33,15 +33,14 @@ otherwise, and no transfer matrix or other rational function is ever formed.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
 from itertools import zip_longest
 from math import gcd, lcm
 from operator import mul
 
-from .polyalg import Poly, Scalar, _frac, _gcd, _poly
+from .polyalg import Poly, _gcd, _poly
 from .polymatrix import (
     DimensionError,
     PolyMatrix,
@@ -51,7 +50,6 @@ from .polymatrix import (
     _left_quotient,
     hstack,
     is_proper,
-    rank_generic,
     row_echelon,
     # No decision here uses it; perfbench/test_instances.py::
     # test_tracer_restores_every_original expects to find it in this module.
@@ -469,22 +467,6 @@ def statespace_to_kernel(s: StateSpace) -> KernelRep:
     return statespace_to_io(s).kernel()
 
 
-def _nonsingular(a: list[list[int]]) -> bool:
-    """Whether a square integer matrix has a nonzero determinant, by one
-    fraction-free (Bareiss) elimination. Each step takes out the first row
-    with a nonzero first entry and eliminates that column from the others;
-    the division by the previous pivot is exact."""
-    prev = 1
-    while a:
-        top = next((row for row in a if row[0]), None)
-        if top is None:
-            return False
-        a.remove(top)
-        a = [[(top[0] * x - row[0] * y) // prev for x, y in zip(row[1:], top[1:])] for row in a]
-        prev = top[0]
-    return True
-
-
 def check_io_form(sys: IoSystem) -> bool:
     """True iff P is invertible and the transfer matrix P^-1 Q is proper.
 
@@ -496,16 +478,15 @@ def check_io_form(sys: IoSystem) -> bool:
     *Linear Systems*, 1980, sec. 6.3). `statespace_to_io` builds P row
     reduced, so its self-check takes this route. Otherwise `is_proper`
     decides, comparing the degrees of the Cramer numerators of P^-1 Q with
-    deg det P, all from one fraction-free elimination of [P | Q]. Either way
-    no rational function is formed.
+    deg det P. One fraction-free elimination decides either: of P_hr, or of
+    [P | Q]. Either way no rational function is formed.
     """
     P = sys.P.entries
     nu = [max(e.degree for e in row) for row in P]
     if all(d >= 0 for d in nu):
-        den = lcm(*(e.den for row in P for e in row))
-        hr = [[e.num[d] * (den // e.den) if e.degree == d else 0 for e in row]
+        hr = [[_poly([e.num[d]] if e.degree == d else [], e.den) for e in row]
               for row, d in zip(P, nu)]
-        if _nonsingular(hr):
+        if len(_fraction_free(hr, len(P))[0]) == len(P):
             return all(e.degree <= d for row, d in zip(sys.Q.entries, nu) for e in row)
     try:
         return is_proper(sys.P, sys.Q)
@@ -575,25 +556,3 @@ def interconnect(env: KernelRep, sys: IoSystem) -> KernelRep:
     latent = vstack(sys.Q, env.R)
     return eliminate_latent(LatentRep(manifest, latent, (("y", p),)))
 
-
-def is_autonomous(r: KernelRep) -> bool:
-    """True iff the behavior leaves no signal free: R has full generic column
-    rank, so a minimal representation is square with nonzero determinant."""
-    return rank_generic(r.R) == r.dim
-
-
-def exp_membership(r: KernelRep, lam: Scalar, w0: Sequence[Scalar]) -> bool:
-    """Test whether the exponential trajectory w0 * e^(lam t) lies in the
-    behavior, i.e. whether R(lam) w0 = 0 exactly."""
-    if len(w0) != r.dim:
-        raise DimensionError(f"amplitude has {len(w0)} entries for {r.dim} signals")
-    lam = _frac(lam)
-    vec = [_frac(x) for x in w0]
-    for row in r.R.entries:
-        acc = Fraction(0)
-        for e, x in zip(row, vec):
-            if x:
-                acc += e(lam) * x
-        if acc != 0:
-            return False
-    return True

@@ -34,8 +34,9 @@ with too many rows is refused as soon as its next row starts: the rows after
 it are counted, not parsed. The other matrices stop being parsed one row
 past what their shapes allow: B past the rows of A, Q past the rows of P,
 D past the rows of C, and C past `MAX_DIMENSION`. Their rows after that are
-counted, so an error in them goes unreported, and the definition is refused
-with the message that the whole matrix would have given.
+counted, and the definition is refused with the message that the whole
+matrix would have given. Of the errors in them, only a token that has no
+place in a matrix literal, such as "}", is reported, as a whole parse would.
 
 In a statespace a matrix written ``[]`` is empty and takes the shape the
 others imply (`StateSpace.from_lists`), so ``A [] B [] C [] D [[2, 1]]`` is
@@ -163,6 +164,7 @@ _TOKEN = re.compile(r"(?:[ \t\r]+|#.*)*(\n|[0-9]+|\w+|[][{},:+\-*^/]|.|\Z)")
 _DIGITS = frozenset("0123456789")
 _STARTS = frozenset("0123456789_[]{},:+-*^/")
 _BRACKETS = frozenset("[]")
+_MATRIX_TOKENS = frozenset("[],+-*^/s")
 
 
 # --------------------------------------------------------------------------
@@ -307,7 +309,7 @@ class _Parser:
         ``limit`` rows is refused at token ``at`` as soon as its next row
         starts. Without one, it keeps its first ``limit + 1`` rows, which
         compare with ``limit`` as all of them do. Either way the rows left
-        are counted by bracket depth, and none of them is parsed."""
+        are counted by bracket depth (`skip_rows`), not parsed."""
         toks = self.tokens
         self.expect("[")
         rows: list[list[Poly]] = []
@@ -329,24 +331,36 @@ class _Parser:
                 self.total = len(rows)
                 return rows
             self.pos += 1
-            if len(rows) == keep:
-                self.total = len(rows) + self.skip_rows()
+            if len(rows) == keep and (skipped := self.skip_rows(not cap)) is not None:
+                self.total = len(rows) + skipped
                 if cap:
                     self.cap(cap, self.total, at)
                 return rows
 
-    def skip_rows(self) -> int:
+    def skip_rows(self, checked: bool) -> int | None:
         """Steps from the start of a row to after the "]" that closes the
-        matrix, or to the end of input, and counts the rows it opens."""
-        toks, depth, count = self.tokens, 0, 0
-        inside = map(_BRACKETS.__contains__, islice(toks, self.pos, None))
-        for i in compress(range(self.pos, len(toks)), inside):
+        matrix, or to the end of input, counting the rows it opens by bracket
+        depth. If ``checked``, a token before that "]" with no place in a
+        matrix literal (or the end of input, if no "]" comes) stops it instead
+        at the start of the row the token is in, with None, so that parsing on
+        raises the error that a whole parse would raise there."""
+        toks, depth, count, start = self.tokens, 0, 0, self.pos
+        end = len(toks) - 1
+        for i in compress(range(start, end), map(_BRACKETS.__contains__, islice(toks, start, end))):
             depth += 1 if toks[i] == "[" else -1
             if depth < 0:
-                self.pos = i + 1
-                return count
+                end = i
+                break
             count += depth == 1 and toks[i] == "["
-        self.pos = len(toks) - 1
+        if checked and (bad := {t for t in set(islice(toks, start, end + 1)) - _MATRIX_TOKENS
+                                if t[:1] not in _DIGITS}):
+            stop, depth = next(i for i in range(start, end + 1) if toks[i] in bad), 0
+            for i in compress(range(start, stop), map(_BRACKETS.__contains__, islice(toks, start, stop))):
+                if not depth:
+                    self.pos = i
+                depth += 1 if toks[i] == "[" else -1
+            return None
+        self.pos = min(end + 1, len(toks) - 1)
         return count
 
     def parse_varlist(self) -> list[tuple[str, int]]:

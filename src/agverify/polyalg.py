@@ -13,12 +13,11 @@ the integer numerators and the denominator, without a `Fraction`.
 
 The package has one polynomial gcd, `_gcd`, a primitive remainder sequence
 on integer coefficient lists; latent elimination (`behavior.eliminate_latent`)
-runs it directly. `poly_gcd` is its monic wrapper on `Poly`, and it and
-`poly_lcm` serve the tests of the matrix and contract layers. `RatFunc`
-takes no part in any decision: every decision stays in Q[s]. It has no
-arithmetic: it keeps only its normalising constructor and `is_proper`, for
-its own tests and for the benchmark tracer in ``perfbench/``, which counts
-its constructions.
+runs it directly. `poly_gcd` is its monic wrapper on `Poly`, for the tests
+of the matrix and contract layers. `RatFunc` takes no part in any decision:
+every decision stays in Q[s]. It has no arithmetic: it keeps only its
+normalising constructor and `is_proper`, for its own tests and for the
+benchmark tracer in ``perfbench/``, which counts its constructions.
 
 Conventions:
 
@@ -395,13 +394,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         raise ValueError("gcd(0, 0) is undefined")
     g = _gcd(a.num, b.num)
     return _poly(g, g[-1])
-
-
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    """Monic least common multiple; lcm with zero is zero."""
-    if a.is_zero or b.is_zero:
-        return ZERO
-    return ((a * b) // poly_gcd(a, b)).monic()
 
 
 @dataclass(frozen=True, slots=True, init=False)

@@ -1,22 +1,22 @@
-"""Matrices over Q[s]: arithmetic, determinants, generic rank, row echelon
-form and the Smith canonical form.
+"""Matrices over Q[s]: arithmetic, row echelon form and the Smith form.
 
 Everything is exact, and no rational function is ever formed. A product
 computes each entry as one integer convolution over a running common
 denominator, and builds one `Poly` per entry. Two eliminations do all the
-work in Q[s]. A fraction-free (Bareiss) elimination backs the determinant,
-the generic rank, the properness test and the Cramer solve (`_left_quotient`)
-of `behavior.behavior_included` and `smith_form`, so none of them leaves the
-polynomial ring. It runs on Python integers: each row is scaled to integer
-coefficients and each entry replaced by its value at a power of two large
-enough to read the polynomial back (Kronecker substitution), so an update is
-one big-integer expression and builds no `Poly`. `row_echelon` is the reduction
-behind minimization and latent elimination: unimodular row operations over
-the Euclidean domain Q[s], carrying along whatever columns sit to the right,
-so reducing [R | I] yields the left transform with the echelon form. It runs
-on integer coefficient lists as well: each row is scaled to integer
-coefficients, each update is one pseudo-division followed by division by the
-row's content, and `Poly` entries are built only when a row is written back.
+work in Q[s]. A fraction-free (Bareiss) elimination backs the properness
+tests, latent elimination by Cramer's rule and the Cramer solve
+(`_left_quotient`) of `behavior.behavior_included` and `smith_form`, so none
+of them leaves the polynomial ring. It runs on Python integers: each row is
+scaled to integer coefficients and each entry replaced by its value at a
+power of two large enough to read the polynomial back (Kronecker
+substitution), so an update is one big-integer expression and builds no
+`Poly`. `row_echelon` is the reduction behind minimization and latent
+elimination: unimodular row operations over the Euclidean domain Q[s],
+carrying along whatever columns sit to the right, so reducing [R | I] yields
+the left transform with the echelon form. It runs on integer coefficient
+lists as well: each row is scaled to integer coefficients, each update is one
+pseudo-division followed by division by the row's content, and `Poly` entries
+are built only when a row is written back.
 `smith_form`, which backs the ``smith`` command, is built from the two: it
 alternates `row_echelon` on the rows and on the columns until the matrix is
 diagonal, and takes the inverses of the accumulated unimodular transforms
@@ -239,11 +239,6 @@ def vstack(*mats: PolyMatrix) -> PolyMatrix:
     for m in mats:
         out.extend(m.entries)
     return PolyMatrix(out, cols=cols)
-
-
-def block(grid: Sequence[Sequence[PolyMatrix]]) -> PolyMatrix:
-    """Compose a matrix from a grid of blocks (row-major)."""
-    return vstack(*(hstack(*row) for row in grid))
 
 
 def _pack(p: Poly, scale: int, k: int) -> int:
@@ -505,36 +500,6 @@ def row_echelon(a: list[list[Poly]], ncols: int) -> list[int]:
         if updated[i]:
             a[i] = [_poly(e, 1) for e in z[i]]
     return pivots
-
-
-def determinant(P: PolyMatrix) -> Poly:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    Stays inside Q[s] throughout: every division performed is exact.
-    """
-    if not P.is_square:
-        raise DimensionError(f"determinant of non-square {P.shape_str()} matrix")
-    pivots, sign, det = _fraction_free(P.entries, P.rows)[:3]
-    if len(pivots) < P.rows:
-        return ZERO
-    return det if sign == 1 else -det
-
-
-def rank_generic(R: PolyMatrix) -> int:
-    """Rank of R over the field of rational functions Q(s).
-
-    Equals the rank of R(x) at all but finitely many evaluation points.
-    Computed by fraction-free elimination, so it never leaves Q[s].
-    """
-    return len(_fraction_free(R.entries, R.cols)[0])
-
-
-def is_unimodular(P: PolyMatrix) -> bool:
-    """True iff det(P) is a nonzero constant, i.e. P has a polynomial inverse."""
-    if not P.is_square:
-        raise DimensionError(f"unimodularity of non-square {P.shape_str()} matrix")
-    d = determinant(P)
-    return d.is_constant and not d.is_zero
 
 
 @dataclass(frozen=True)

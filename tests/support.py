@@ -23,7 +23,7 @@ from agverify import KernelRep, LatentRep, Poly, PolyMatrix, StateSpace
 from agverify.behavior import _io_labels
 from agverify.docparse import ParseError
 from agverify.polyalg import ZERO, S
-from agverify.polymatrix import block, hstack, row_echelon, vstack
+from agverify.polymatrix import hstack, row_echelon, vstack
 
 # ---------------------------------------------------------------------------
 # Exact linear algebra over plain Fractions
@@ -86,6 +86,12 @@ def det_cofactor(M: PolyMatrix) -> Poly:
         term = a * det_cofactor(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
+
+
+def is_unimodular(M: PolyMatrix) -> bool:
+    """Whether det M, by cofactor expansion, is a nonzero constant."""
+    d = det_cofactor(M)
+    return d.is_constant and not d.is_zero
 
 
 def adjugate_cofactor(M: PolyMatrix) -> PolyMatrix:
@@ -304,7 +310,11 @@ def join_reference(a1: KernelRep, a2: KernelRep) -> KernelRep:
     m, r1, r2 = a1.dim, a1.R.rows, a2.R.rows
     I = PolyMatrix.identity(m)
     manifest = vstack(I, PolyMatrix.zeros(r1 + r2, m))
-    latent = block([[I, I], [a1.R, PolyMatrix.zeros(r1, m)], [PolyMatrix.zeros(r2, m), a2.R]])
+    latent = vstack(
+        hstack(I, I),
+        hstack(a1.R, PolyMatrix.zeros(r1, m)),
+        hstack(PolyMatrix.zeros(r2, m), a2.R),
+    )
     return eliminate_latent_reference(LatentRep(manifest, latent, a1.signal_labels))
 
 

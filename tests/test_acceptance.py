@@ -20,7 +20,6 @@ from agverify import (
     env_compatible,
     implements,
     interconnect,
-    is_unimodular,
     refines,
     smith_form,
     statespace_to_io,
@@ -32,6 +31,7 @@ from agverify.polymatrix import vstack
 from support import (
     budget,
     inclusion_by_linear_solve,
+    is_unimodular,
     random_full_row_rank,
     random_matrix,
     random_statespace,

@@ -18,9 +18,7 @@ from agverify.behavior import (
     behavior_included,
     check_io_form,
     eliminate_latent,
-    exp_membership,
     interconnect,
-    is_autonomous,
     minimal_kernel,
     statespace_to_io,
     statespace_to_kernel,
@@ -32,7 +30,6 @@ from agverify.polymatrix import (
     SingularMatrixError,
     hstack,
     is_proper,
-    rank_generic,
     row_echelon,
     vstack,
 )
@@ -148,7 +145,7 @@ class TestMinimalKernel:
     def test_dependent_rows_compress(self):
         k = kernel([[S, ZERO], [S**2, ZERO]], W2)
         mk = minimal_kernel(k)
-        assert mk.R.rows == 1 and rank_generic(mk.R) == mk.R.rows
+        assert mk.R.rows == 1 and evaluation_rank(mk.R) == mk.R.rows
         assert behavior_equal(k, mk).holds
 
     def test_already_minimal_same_row_count(self):
@@ -170,7 +167,7 @@ class TestMinimalKernel:
                 (("w", dim),),
             )
             mk = minimal_kernel(k)
-            assert rank_generic(mk.R) == mk.R.rows
+            assert evaluation_rank(mk.R) == mk.R.rows
             assert behavior_equal(k, mk).holds
 
 
@@ -273,7 +270,7 @@ class TestEliminateLatent:
     @given(latent_reps())
     def test_one_scan_is_minimal_and_matches_two_passes(self, lat):
         k = eliminate_latent(lat)
-        assert rank_generic(k.R) == k.R.rows
+        assert evaluation_rank(k.R) == k.R.rows
         assert minimal_kernel(k) == k
         # Reference: reduce E's columns only, then minimize the rows below.
         E, M = lat.latent_map, lat.manifest
@@ -319,7 +316,8 @@ class TestEliminateLatent:
             rhs = [sum(e(lam) * x for e, x in zip(row, l0)) for row in lmap.entries]
             w0 = _solve_square(Mval, rhs)
             lat = LatentRep(manifest, lmap, (("w", rows),))
-            assert exp_membership(eliminate_latent(lat), lam, w0)
+            R = eval_matrix(eliminate_latent(lat).R, lam)
+            assert all(sum(e * x for e, x in zip(row, w0)) == 0 for row in R)
             done += 1
 
 
@@ -957,42 +955,3 @@ class TestInterconnect:
         integrator = IoSystem(PolyMatrix([[S]]), PolyMatrix([[ONE]]))
         with pytest.raises(Exception):
             interconnect(KernelRep(PolyMatrix([[S, 1]]), (("u", 2),)), integrator)
-
-
-class TestAutonomous:
-    def test_scalar(self):
-        assert is_autonomous(kernel([[S]]))
-
-    def test_full_behavior(self):
-        assert not is_autonomous(kernel([], (("w", 1),)))
-
-    def test_underdetermined(self):
-        assert not is_autonomous(kernel([[S, -ONE]], W2))
-
-    @settings(deadline=None)
-    @given(st.data())
-    def test_matches_evaluation_rank(self, data):
-        # Rank-deficient kernels come from products through a narrower inner
-        # dimension; random square ones are almost always of full rank.
-        rows, cols = (data.draw(st.integers(min_value=1, max_value=6)) for _ in range(2))
-        inner = data.draw(st.integers(min_value=0, max_value=min(rows, cols)))
-        if data.draw(st.booleans()):
-            R = data.draw(poly_matrices(rows, inner, 1)) * data.draw(poly_matrices(inner, cols, 1))
-        else:
-            R = data.draw(poly_matrices(rows, cols, 2))
-        assert is_autonomous(KernelRep(R, (("w", cols),))) == (evaluation_rank(R) == cols)
-
-
-class TestExpMembership:
-    def test_constants(self):
-        assert exp_membership(kernel([[S]]), 0, [1])
-
-    def test_exponential(self):
-        assert exp_membership(kernel([[S - 1]]), 1, [1])
-
-    def test_rejected(self):
-        assert not exp_membership(kernel([[S]]), 1, [1])
-
-    def test_wrong_amplitude_length(self):
-        with pytest.raises(Exception):
-            exp_membership(kernel([[S]]), 0, [1, 2])

@@ -333,8 +333,16 @@ class TestDefinitions:
              "<string>:1:32: latent row count 20000 is above the maximum 100"),
             (parse_document, "latent L { vars w:1 latent l:1 R [[1]] E [{rows}] }",
              "<string>:1:40: latent row count 20000 is above the maximum 100"),
+            (parse_document, "kernel K { vars y:1 R [{rows} }",
+             "<string>:1:21: kernel row count 20000 is above the maximum 100"),
+            (parse_document, "kernel K { vars y:1 R [{rows} x1 x2 }",
+             "<string>:1:21: kernel row count 20000 is above the maximum 100"),
+            (parse_document, "latent L { vars w:1 latent l:1 R [[1]] E [{rows}, C }",
+             "<string>:1:40: latent row count 20000 is above the maximum 100"),
+            (parse_matrix_text, "[{rows}", "<matrix>:1:1: matrix row count 20000 is above the maximum 100"),
         ],
-        ids=["kernel", "statespace", "iosystem", "literal", "latent R", "latent E"],
+        ids=["kernel", "statespace", "iosystem", "literal", "latent R", "latent E", "kernel not closed",
+             "names in the tail", "latent E not closed", "literal not closed"],
     )
     def test_over_cap_rows_are_counted_not_parsed(self, monkeypatch, parse, text, message):
         parsed = []
@@ -387,6 +395,43 @@ class TestDefinitions:
             parse_document(text.replace("{rows}", ", ".join(["[2]"] * 20000)))
         assert str(exc.value) == message
         assert len(parsed) <= 2 * (MAX_DIMENSION + 1) + 3
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("statespace S { A [[0]] B [[1], [2], [3] C [[1]] D [[0]] }",
+             "<string>:1:41: expected ']', found 'C'"),
+            ("statespace S { A [[0]] B [[1], [2], [3, C [[1]] D [[0]] }",
+             "<string>:1:41: expected a polynomial term, found 'C'"),
+            ("statespace S { A [[0]] B [[1], [2], [3] }", "<string>:1:41: expected ']', found '}'"),
+            ("iosystem N { P [[s]] Q [[1], [2], [3] }", "<string>:1:39: expected ']', found '}'"),
+            ("iosystem N { P [[s]] Q [[1], [2], [3, C]] }",
+             "<string>:1:39: expected a polynomial term, found 'C'"),
+            ("iosystem N { P [[s]] Q [[1], [2], {rows}, [3] }",
+             "<string>:1:100039: expected ']', found '}'"),
+            ("iosystem N { P [[s]] Q [[1], [2], [3, {names}]] }",
+             "<string>:1:39: expected a polynomial term, found 'a0'"),
+        ],
+        ids=["row not closed", "term missing", "matrix not closed", "Q not closed", "name in a row",
+             "long tail", "many names"],
+    )
+    def test_rows_past_the_shape_stop_at_a_foreign_token(self, monkeypatch, text, message):
+        # Rows past a limit are counted, not parsed, up to a token that has
+        # no place in a matrix literal; the error is then the one that
+        # parsing the whole matrix gives there.
+        parsed = []
+        parse_poly = _Parser.parse_poly
+
+        def counted(parser):
+            parsed.append(parser.pos)
+            return parse_poly(parser)
+
+        monkeypatch.setattr(_Parser, "parse_poly", counted)
+        with pytest.raises(ParseError) as exc:
+            parse_document(text.replace("{rows}", ", ".join(["[2]"] * 20000))
+                           .replace("{names}", ", ".join(f"a{i}" for i in range(20000))))
+        assert str(exc.value) == message
+        assert len(parsed) <= MAX_DIMENSION + 3
 
     def test_statespace_matrices_are_built_once(self, monkeypatch):
         built = []

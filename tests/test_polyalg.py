@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from agverify.docparse import poly_coeffs
-from agverify.polyalg import NEG_INF, ONE, S, ZERO, Poly, RatFunc, poly_gcd, poly_lcm
+from agverify.polyalg import NEG_INF, ONE, S, ZERO, Poly, RatFunc, poly_gcd
 from support import gcd_reference, poly_text_reference
 
 coeffs = st.lists(st.integers(min_value=-6, max_value=6), max_size=5)
@@ -342,8 +342,3 @@ class TestRatFunc:
         assert f != RatFunc(S + 2, S)
         with pytest.raises(AttributeError):
             f.num = ONE
-
-
-def test_lcm():
-    assert poly_lcm(S, S - 1) == S * (S - 1)
-    assert poly_lcm(S, ZERO) == ZERO
