@@ -317,7 +317,9 @@ def eliminate_latent(l: LatentRep) -> KernelRep:
     the coefficient of row c on row J_i, so v with v_J_i = d X_i and
     v_c = -d has v E = 0. Divided by the gcd of its entries (`_gcd`), v
     generates the left kernel, and the result is the row v M, monic in its
-    first nonzero entry, or no row when v M = 0.
+    first nonzero entry, or no row when v M = 0. That gcd is most often 1,
+    which `_gcd` proves from one integer gcd of the entries' values at a
+    power of two, without a remainder sequence.
 
     When kappa >= 2, one `row_echelon` scan of [E | M], on E's columns and
     then on M's, gives W E = [H; 0; 0] and W M = [M1; M2; 0] for a

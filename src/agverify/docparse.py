@@ -340,25 +340,36 @@ class _Parser:
     def skip_rows(self, checked: bool) -> int | None:
         """Steps from the start of a row to after the "]" that closes the
         matrix, or to the end of input, counting the rows it opens by bracket
-        depth. If ``checked``, a token before that "]" with no place in a
-        matrix literal (or the end of input, if no "]" comes) stops it instead
-        at the start of the row the token is in, with None, so that parsing on
-        raises the error that a whole parse would raise there."""
+        depth. If ``checked``, it stops instead, with None, at the start of
+        the first row that breaks the row structure or holds a token with no
+        place in a matrix literal (or the end of input, if no "]" comes), so
+        that parsing on raises the error that a whole parse would raise there.
+        The structure is "[" after "]," for each row, no "[" inside a row, and
+        "]]" to close the matrix; the rows' contents are not parsed."""
         toks, depth, count, start = self.tokens, 0, 0, self.pos
-        end = len(toks) - 1
+        end, row, broken = len(toks) - 1, start, False
         for i in compress(range(start, end), map(_BRACKETS.__contains__, islice(toks, start, end))):
-            depth += 1 if toks[i] == "[" else -1
-            if depth < 0:
-                end = i
+            if toks[i] == "[":
+                if checked and (depth or toks[i - 1] != "," or toks[i - 2] != "]"):
+                    end, broken = i, True
+                    break
+                if not depth:
+                    row, count = i, count + 1
+                depth += 1
+            elif depth:
+                depth -= 1
+            else:
+                end, broken = i, checked and toks[i - 1] != "]"
                 break
-            count += depth == 1 and toks[i] == "["
         if checked and (bad := {t for t in set(islice(toks, start, end + 1)) - _MATRIX_TOKENS
                                 if t[:1] not in _DIGITS}):
-            stop, depth = next(i for i in range(start, end + 1) if toks[i] in bad), 0
-            for i in compress(range(start, stop), map(_BRACKETS.__contains__, islice(toks, start, stop))):
-                if not depth:
-                    self.pos = i
-                depth += 1 if toks[i] == "[" else -1
+            # The rows before the token are sound, so its row opens at the
+            # last "[" before it.
+            stop = next(i for i in range(start, end + 1) if toks[i] in bad)
+            self.pos = max(compress(range(start, stop), map("[".__eq__, islice(toks, start, stop))), default=start)
+            return None
+        if broken:
+            self.pos = row
             return None
         self.pos = min(end + 1, len(toks) - 1)
         return count

@@ -13,11 +13,16 @@ the integer numerators and the denominator, without a `Fraction`.
 
 The package has one polynomial gcd, `_gcd`, a primitive remainder sequence
 on integer coefficient lists; latent elimination (`behavior.eliminate_latent`)
-runs it directly. `poly_gcd` is its monic wrapper on `Poly`, for the tests
-of the matrix and contract layers. `RatFunc` takes no part in any decision:
-every decision stays in Q[s]. It has no arithmetic: it keeps only its
-normalising constructor and `is_proper`, for its own tests and for the
-benchmark tracer in ``perfbench/``, which counts its constructions.
+runs it directly. Ahead of the sequence, two nonconstant inputs meet an
+exact coprimality certificate from the heuristic gcd of Char, Geddes and
+Gonnet (J. Symbolic Computation 7, 1989): one integer gcd of their values at
+a power of two xi above twice their smaller coefficient bound proves the gcd
+is 1 when it is at most xi/2 (the proof is in `_gcd`). `poly_gcd` is its
+monic wrapper on `Poly`, for the tests of the matrix and contract layers.
+`RatFunc` takes no part in any decision: every decision stays in Q[s]. It
+has no arithmetic: it keeps only its normalising constructor and
+`is_proper`, for its own tests and for the benchmark tracer in
+``perfbench/``, which counts its constructions.
 
 Conventions:
 
@@ -373,7 +378,31 @@ def _gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     coefficient. A primitive remainder sequence (Brown, J. ACM 18, 1971):
     each pseudo-remainder (`_pseudo_divmod`) is divided by its content, so
     the gcd is found without a `Fraction` or a `Poly`. A nonzero constant
-    remainder ends it: the gcd is then 1."""
+    remainder ends it: the gcd is then 1.
+
+    Two nonconstant inputs first meet a coprimality certificate, from the
+    heuristic gcd of Char, Geddes and Gonnet (J. Symbolic Computation 7,
+    1989). Let A be the largest absolute coefficient of one input, say a,
+    the one for which it is smaller, and xi = 2^k with k = bitlength(A) + 1,
+    so xi >= 2A + 2. If gcd(a(xi), b(xi)) <= xi/2, the gcd is 1 and the
+    remainder sequence is skipped. Proof: let h be a primitive common factor
+    of positive degree. By Gauss's lemma h divides a and b in Z[s], so h(xi)
+    divides the integers a(xi) and b(xi). Each root z of h is a root of a,
+    so |z| < 1 + A <= xi/2 by Cauchy's bound, and |xi - z| > xi/2; hence
+    |h(xi)| > (xi/2)^deg h >= xi/2 and, likewise, a(xi) != 0. Then
+    gcd(a(xi), b(xi)) is a nonzero multiple of h(xi), above xi/2. Otherwise
+    (a common factor, or a large shared divisor of the values) the remainder
+    sequence runs; as the certificate only ever returns [1], which is what
+    the sequence returns for a constant gcd, no result changes."""
+    if len(a) > 1 and len(b) > 1:
+        k = min(max(max(a), -min(a)), max(max(b), -min(b))).bit_length() + 1
+        va = vb = 0
+        for c in reversed(a):
+            va = (va << k) + c
+        for c in reversed(b):
+            vb = (vb << k) + c
+        if gcd(va, vb) <= 1 << (k - 1):
+            return [1]
     while len(b) > 1:
         r = _pseudo_divmod(a, b)[1]
         g = gcd(*r) or 1

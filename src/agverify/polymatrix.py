@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm, prod
 
 from .polyalg import ONE, ZERO, Poly, _as_poly, _poly, _pseudo_divmod
@@ -52,12 +53,17 @@ def _coerce_entry(x) -> Poly:
     return p
 
 
+_POLY = frozenset({Poly})
+
+
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class PolyMatrix:
     """Immutable rows x cols matrix of `Poly` entries.
 
     ``cols`` must be given explicitly when constructing a matrix with zero
-    rows; every other shape is inferred from the entry grid.
+    rows; every other shape is inferred from the entry grid. A grid of
+    `Poly` entries, as the parser and the arithmetic build, is kept as
+    given; any other entry is converted (`int`, `Fraction`) or refused.
     """
 
     rows: int
@@ -65,7 +71,9 @@ class PolyMatrix:
     entries: tuple[tuple[Poly, ...], ...]
 
     def __init__(self, entries: Iterable[Iterable] = (), cols: int | None = None):
-        grid = tuple(tuple(map(_coerce_entry, row)) for row in entries)
+        grid = tuple(map(tuple, entries))
+        if not _POLY.issuperset(map(type, chain.from_iterable(grid))):
+            grid = tuple(tuple(map(_coerce_entry, row)) for row in grid)
         if grid:
             ncols = len(grid[0])
             for row in grid:

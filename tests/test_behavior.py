@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import agverify
 from agverify import behavior, contracts
 from agverify.behavior import (
     InclusionWitness,
@@ -23,7 +24,8 @@ from agverify.behavior import (
     statespace_to_io,
     statespace_to_kernel,
 )
-from agverify.polyalg import ONE, S, ZERO, Poly
+from agverify.docparse import parse_documents
+from agverify.polyalg import ONE, S, ZERO, Poly, _gcd
 from agverify.polymatrix import (
     PolyMatrix,
     SelfCheckError,
@@ -240,6 +242,23 @@ class TestEliminateLatent:
         k, ref = eliminate_latent(lat), eliminate_latent_reference(lat)
         assert (k.R.rows, k.R.cols) == (ref.R.rows, ref.R.cols)
         assert k.R.entries == ref.R.entries and k.signal_labels == ref.signal_labels
+
+    def test_interconnection_rows_match_scan_reference(self, monkeypatch):
+        # The corpus S under C keeps a row whose entries share s^2 + s + 1,
+        # so `_gcd` runs its remainder sequence; the implements_ss-shaped
+        # interconnections have entries of gcd 1, which it certifies.
+        maps, gcds = [], []
+        monkeypatch.setattr(behavior, "eliminate_latent", lambda lat: maps.append(lat) or eliminate_latent(lat))
+        monkeypatch.setattr(behavior, "_gcd", lambda a, b: gcds.append(_gcd(a, b)) or gcds[-1])
+        files = sorted(agverify.corpus_dir().glob("*.ag"))
+        doc = parse_documents([(str(f), f.read_text()) for f in files])
+        cases = [(doc.get("C").value, doc.get("S").value)]
+        cases += [implements_ss_shaped(seed)[::-1] for seed in (1, 2, 3)]
+        for i, (contract, system) in enumerate(cases):
+            del gcds[:]
+            k = interconnect(contract.assumptions, statespace_to_io(system))
+            assert k == eliminate_latent_reference(maps[-1])
+            assert len(gcds[-1]) == (3 if i == 0 else 1)
 
     def test_common_factor_of_the_kernel_row_is_divided_out(self):
         # v = (s, -s) has v E = 0; the left kernel is generated by (1, -1).

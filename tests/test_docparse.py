@@ -411,14 +411,23 @@ class TestDefinitions:
              "<string>:1:100039: expected ']', found '}'"),
             ("iosystem N { P [[s]] Q [[1], [2], [3, {names}]] }",
              "<string>:1:39: expected a polynomial term, found 'a0'"),
+            ("statespace S { A [[0]] B [[1], [2], 3]] C [[1]] D [[0]] }",
+             "<string>:1:37: expected '[', found '3'"),
+            ("iosystem N { P [[s]] Q [[1], [2], 3]] }", "<string>:1:35: expected '[', found '3'"),
+            ("iosystem N { P [[s]] Q [[1], [2], [3], ] }", "<string>:1:40: expected '[', found ']'"),
+            ("iosystem N { P [[s]] Q [[1], [2], [3] 4, [5]] }", "<string>:1:39: expected ']', found '4'"),
+            ("iosystem N { P [[s]] Q [[1], [2], {rows}, [3 [4]]] }",
+             "<string>:1:100038: expected ']', found '['"),
         ],
         ids=["row not closed", "term missing", "matrix not closed", "Q not closed", "name in a row",
-             "long tail", "many names"],
+             "long tail", "many names", "B row not opened", "Q row not opened", "no row after comma",
+             "number between rows", "row inside a row"],
     )
     def test_rows_past_the_shape_stop_at_a_foreign_token(self, monkeypatch, text, message):
         # Rows past a limit are counted, not parsed, up to a token that has
-        # no place in a matrix literal; the error is then the one that
-        # parsing the whole matrix gives there.
+        # no place in a matrix literal or a row that breaks the row
+        # structure; the error is then the one that parsing the whole
+        # matrix gives there.
         parsed = []
         parse_poly = _Parser.parse_poly
 

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from agverify import polyalg
 from agverify.docparse import poly_coeffs
 from agverify.polyalg import NEG_INF, ONE, S, ZERO, Poly, RatFunc, poly_gcd
 from support import gcd_reference, poly_text_reference
@@ -187,6 +188,65 @@ class TestGcd:
         left = poly_gcd(p * q, p * r)
         right = (p * poly_gcd(q, r)).monic()
         assert left == right
+
+
+integer_polys = st.lists(st.integers(min_value=-1000, max_value=1000), min_size=2, max_size=5).map(Poly)
+unit_polys = st.lists(st.integers(min_value=-1, max_value=1), min_size=2, max_size=4).map(Poly)
+
+
+@st.composite
+def certificate_pairs(draw):
+    """Integer pairs for both branches of `_gcd`'s coprimality certificate:
+    coprime (a and a * h + 1); a planted common factor of degree 1 to 3;
+    c * a and c * (a + (s - xi) * h), whose values at the certificate's
+    point xi share c * a(xi) > xi/2 although a and h may be coprime; and one
+    constant input. Either side may have a negative leading coefficient."""
+    a, h = draw(integer_polys.filter(lambda p: p.degree >= 1)), draw(integer_polys.filter(bool))
+    kind = draw(st.sampled_from(("coprime", "factor", "shared value", "constant")))
+    if kind == "coprime":
+        b = a * h + 1
+    elif kind == "factor":
+        f = draw(st.lists(st.integers(min_value=-9, max_value=9), min_size=2, max_size=4).map(Poly)
+                 .filter(lambda p: p.degree >= 1))
+        a, b = f * a, f * h
+    elif kind == "shared value":
+        # h's small coefficients leave c * a with the smaller bound, from
+        # which `_gcd` picks xi.
+        c, h = draw(st.integers(min_value=2, max_value=50)), draw(unit_polys.filter(lambda p: p.degree >= 1))
+        xi = 2 ** ((c * max(map(abs, a.num))).bit_length() + 1)
+        a, b = c * a, c * (a + (S - xi) * h)
+    else:
+        b = Poly([draw(st.integers(min_value=-1000, max_value=1000).filter(bool))])
+    a, b = a * draw(st.sampled_from((1, -1))), b * draw(st.sampled_from((1, -1)))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+class TestCoprimalityCertificate:
+    @pytest.fixture
+    def divisions(self, monkeypatch):
+        calls = []
+        pseudo_divmod = polyalg._pseudo_divmod
+        monkeypatch.setattr(polyalg, "_pseudo_divmod", lambda *args: calls.append(args) or pseudo_divmod(*args))
+        return calls
+
+    @given(certificate_pairs())
+    def test_matches_euclid_over_fractions(self, pair):
+        a, b = pair
+        assert poly_gcd(a, b) == gcd_reference(a, b)
+
+    def test_coprime_pair_makes_no_pseudo_division(self, divisions):
+        assert poly_gcd(3 * S**3 - 2 * S + 7, S**2 + 5 * S - 4) == ONE
+        assert divisions == []
+
+    def test_common_factor_runs_the_remainder_sequence(self, divisions):
+        a, b = (S - 1) * (3 * S**3 - 2 * S + 7), (S - 1) * (S**2 + 5 * S - 4)
+        assert poly_gcd(a, b) == S - 1
+        assert divisions
+
+    def test_values_with_a_large_common_divisor_run_the_remainder_sequence(self, divisions):
+        # xi = 16 from 5 s + 5, and the values 5 * 17 and 5 * 34 share 85 > 8.
+        assert poly_gcd(5 * (S + 1), 5 * (S + 18)) == ONE
+        assert divisions
 
 
 class TestRingLaws:

@@ -203,6 +203,14 @@ class TestArithmetic:
         m = PolyMatrix([], cols=3)
         assert (m.rows, m.cols) == (0, 3)
 
+    def test_entries_are_kept_or_converted(self):
+        p = S + 1
+        M = PolyMatrix(iter([iter([p, 2]), (Fraction(1, 2), p)]))
+        assert M.entries == ((p, Poly([2])), (Poly([Fraction(1, 2)]), p)) and M.entries[0][0] is p
+        for bad in (1.5, "s"):
+            with pytest.raises(TypeError, match="polynomial entry expected"):
+                PolyMatrix([[p, S], [S, bad]])
+
     def test_value_semantics(self):
         M = PolyMatrix([[S, 1]])
         assert M == PolyMatrix([[S, ONE]]) and hash(M) == hash(PolyMatrix([[S, ONE]]))
