@@ -22,7 +22,6 @@ from .behavior import (
     interconnect,
     minimal_kernel,
     statespace_to_io,
-    statespace_to_kernel,
 )
 from .contracts import (
     Contract,

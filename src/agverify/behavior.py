@@ -19,16 +19,18 @@ elimination, from its observability indices (Polderman & Willems,
 *Introduction to Mathematical Systems Theory*, 1998, ch. 6; Kailath, *Linear
 Systems*, 1980, sec. 6.4): one integer scan of relation rows, each a
 derivative of one output as a state part and an input part, reduces the
-state parts, and the first dependence of each output sums the input parts of
-the rows it involves into one row of P y = Q u, with one row per output and
-P row reduced. A `StateSpace` keeps the checked form, so each object is
-converted at most once. Inclusion solves the multiplier by Cramer's rule in one
-fraction-free (Bareiss) pass (`polymatrix._left_quotient`), dropping the
-source rows that are polynomial combinations of its pivot rows, and reduces
-the source with `row_echelon` only when some dependent row is not. Every
-decision stays in Q[s]: `check_io_form` reads properness of P^-1 Q off the
-row degrees of P and Q when P is row reduced, and off the Cramer numerators
-otherwise, and no transfer matrix or other rational function is ever formed.
+state parts by Bareiss's fraction-free recurrence, whose divisions are exact
+as in `polymatrix._fraction_free`, and the first dependence of each output
+sums the input parts of the rows it involves into one row of P y = Q u, with
+one row per output and P row reduced. A `StateSpace` keeps the checked form,
+so each object is converted at most once. Inclusion solves the multiplier by
+Cramer's rule in one fraction-free (Bareiss) pass
+(`polymatrix._left_quotient`), dropping the source rows that are polynomial
+combinations of its pivot rows, and reduces the source with `row_echelon`
+only when some dependent row is not. Every decision stays in Q[s]:
+`check_io_form` reads properness of P^-1 Q off the row degrees of P and Q
+when P is row reduced, and off the Cramer numerators otherwise, and no
+transfer matrix or other rational function is ever formed.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import zip_longest
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 from .polyalg import Poly, _gcd, _poly
@@ -389,13 +391,20 @@ def statespace_to_io(s: StateSpace) -> IoSystem:
     stays out of the scan, and x is the row C_i A^k times dC dA^k. The row x
     is followed by its tag, zeros and then a 1 for this candidate, and
     reduced against an integer echelon basis of the selected rows, each with
-    its own tag, as `row_echelon` reduces [R | I]: an update is
-    fraction-free, v := b_c v - v_c b, and divides the whole row by its gcd.
-    When the state part vanishes, the tag holds weights w over the selected
-    candidates and (i, nu_i) whose relation rows sum to one without a state
-    part: row i of [P | Q] is the sum of w (sigma_l s^l e_j | q) over them,
-    divided by the coefficient of s^nu_i in P_ii. `Poly`s are built only
-    for these p rows.
+    its own tag, as `row_echelon` reduces [R | I], by Bareiss's recurrence
+    (Bareiss, *Math. Comp.* 22, 1968): with prev = 1, each basis row b with
+    pivot column c, in order, gives v := (b_c v - v_c b) / prev and then
+    prev := b_c. Each basis row was reduced so when it was selected. After
+    j steps each entry of v is the minor, on the first j pivot columns and
+    the entry's own column, of the first j selected rows and v as first
+    written, so each division is exact, as in `polymatrix._fraction_free`,
+    and no row gcd is taken. When the state part vanishes, the tag holds
+    weights w over the selected candidates and (i, nu_i) whose relation
+    rows sum to one without a state part: row i of [P | Q] is the sum of
+    w (sigma_l s^l e_j | q) over them, divided by the coefficient of s^nu_i
+    in P_ii. That dependence is unique up to a constant factor, which the
+    division takes out, so P and Q do not depend on how the rows are
+    scaled. `Poly`s are built only for these p rows.
 
     `check_io_form` is run on the result as a self-check; as P is row
     reduced, it certifies properness from the row degrees, without an
@@ -426,15 +435,10 @@ def statespace_to_io(s: StateSpace) -> IoSystem:
     while active:
         still = []
         for i in active:
-            v = x[i] + [0] * len(selected) + [1]
+            v, prev = x[i] + [0] * len(selected) + [1], 1
             for c, b in basis:
-                e = v[c]
-                if e:
-                    f = b[c]
-                    v = [f * a - e * z for a, z in zip_longest(v, b, fillvalue=0)]
-                    g = gcd(*v)
-                    if g > 1:
-                        v = [a // g for a in v]
+                v = [(b[c] * a - v[c] * z) // prev for a, z in zip_longest(v, b, fillvalue=0)]
+                prev = b[c]
             pivot = next((c for c in range(n) if v[c]), None)
             if pivot is not None:
                 basis.append((pivot, v))
@@ -461,12 +465,6 @@ def statespace_to_io(s: StateSpace) -> IoSystem:
         raise SelfCheckError("state elimination did not yield input-output form")
     object.__setattr__(s, "_io_form", sys)
     return sys
-
-
-def statespace_to_kernel(s: StateSpace) -> KernelRep:
-    """Kernel representation [-Q  P] of the external (u, y) behavior, from
-    the input-output form of `statespace_to_io`: p rows, P row reduced."""
-    return statespace_to_io(s).kernel()
 
 
 def check_io_form(sys: IoSystem) -> bool:

@@ -33,7 +33,6 @@ from .behavior import (
     eliminate_latent,
     minimal_kernel,
     statespace_to_io,
-    statespace_to_kernel,
 )
 from .contracts import Contract, conjunction, env_compatible, implements, refines
 from .docparse import (
@@ -132,7 +131,7 @@ def _check_io(report: Report, args, doc, system) -> Verdict:
 
 def _eliminate(report: Report, args, doc, system) -> None:
     if isinstance(system, StateSpace):
-        k = statespace_to_kernel(system)
+        k = statespace_to_io(system).kernel()
     elif isinstance(system, IoSystem):
         k = system.kernel()
     elif isinstance(system, LatentRep):

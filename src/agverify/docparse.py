@@ -24,19 +24,21 @@ and the line of each as the count of newlines before it; a column is
 computed only for an error message.
 
 The exponent after "^" is at most `MAX_EXPONENT`, an integer has at most
-`MAX_DIGITS` digits, and the dimensions of a varlist add up to at most
-`MAX_DIMENSION`. The matrix A of a statespace, the matrix P of an iosystem,
-the matrix R of a kernel and the matrices R and E of a latent have at most
-`MAX_DIMENSION` rows, the inputs and outputs of a statespace or an iosystem
-add up to at most `MAX_DIMENSION`, and a bare matrix literal
-(`parse_matrix_text`) has at most `MAX_DIMENSION` rows and columns. A matrix
-with too many rows is refused as soon as its next row starts: the rows after
-it are counted, not parsed. The other matrices stop being parsed one row
-past what their shapes allow: B past the rows of A, Q past the rows of P,
-D past the rows of C, and C past `MAX_DIMENSION`. Their rows after that are
-counted, and the definition is refused with the message that the whole
-matrix would have given. Of the errors in them, only a token that has no
-place in a matrix literal, such as "}", is reported, as a whole parse would.
+`MAX_DIGITS` digits, the polynomials of one text hold at most
+`MAX_COEFFICIENTS` coefficients, counted densely (``s^N`` holds N + 1), and
+the dimensions of a varlist add up to at most `MAX_DIMENSION`. The matrix A
+of a statespace, the matrix P of an iosystem, the matrix R of a kernel and
+the matrices R and E of a latent have at most `MAX_DIMENSION` rows, the
+inputs and outputs of a statespace or an iosystem add up to at most
+`MAX_DIMENSION`, and a bare matrix literal (`parse_matrix_text`) has at most
+`MAX_DIMENSION` rows and columns. A matrix with too many rows is refused as
+soon as its next row starts: the rows after it are counted, not parsed. The
+other matrices stop being parsed one row past what their shapes allow: B
+past the rows of A, Q past the rows of P, D past the rows of C, and C past
+`MAX_DIMENSION`. Their rows after that are counted, and the definition is
+refused with the message that the whole matrix would have given. Of the
+errors in them, only a token that has no place in a matrix literal, such as
+"}", is reported, as a whole parse would.
 
 In a statespace a matrix written ``[]`` is empty and takes the shape the
 others imply (`StateSpace.from_lists`), so ``A [] B [] C [] D [[2, 1]]`` is
@@ -82,6 +84,13 @@ MAX_DIGITS = 4300
 # inclusion reduce every row and column of a kernel, so time and memory grow
 # at least with the square of each of these; a larger one is a `ParseError`.
 MAX_DIMENSION = 100
+
+# Largest number of coefficients that the polynomials of one text may hold,
+# each counted densely, so ``s^N`` holds N + 1. It admits any single matrix
+# the caps above allow, MAX_DIMENSION x MAX_DIMENSION entries of degree
+# MAX_EXPONENT, and bounds what parsing allocates however many such entries
+# a text holds; the entry that crosses it is a `ParseError`.
+MAX_COEFFICIENTS = MAX_DIMENSION**2 * (MAX_EXPONENT + 1)
 
 
 class DocumentError(ValueError):
@@ -177,7 +186,9 @@ class _Parser:
 
     ``tokens`` ends with "", the end of input, and ``breaks[k]`` is the index
     of the first token after the k-th newline. ``total`` is the row count of
-    the last matrix read, with the rows counted past a limit.
+    the last matrix read, with the rows counted past a limit, and
+    ``coefficients`` the number of coefficients in the polynomials read so
+    far, which `MAX_COEFFICIENTS` bounds.
     """
 
     def __init__(self, text: str, source: str):
@@ -189,6 +200,7 @@ class _Parser:
         self.text = text
         self.source = source
         self.pos = 0
+        self.coefficients = 0
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         self.max_digits = min(MAX_DIGITS, limit or MAX_DIGITS)
         bad = [t for t in set(tokens) if t[0] not in _STARTS and not t[0].isalpha()]
@@ -298,6 +310,11 @@ class _Parser:
             elif t == "-":
                 sign = -1
             else:
+                self.coefficients += len(coeffs)
+                if self.coefficients > MAX_COEFFICIENTS:
+                    raise self.error(
+                        f"polynomial coefficients in this text exceed the maximum {MAX_COEFFICIENTS}"
+                    )
                 self.pos = i
                 return Poly(coeffs) if rational else _poly(coeffs, 1)
             i += 1

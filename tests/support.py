@@ -17,13 +17,15 @@ import time
 from collections import namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
+from operator import mul
 
-from agverify import KernelRep, LatentRep, Poly, PolyMatrix, StateSpace
-from agverify.behavior import _io_labels
+from agverify import IoSystem, KernelRep, LatentRep, Poly, PolyMatrix, StateSpace, check_io_form
+from agverify.behavior import _integer_rows, _io_labels
 from agverify.docparse import ParseError
-from agverify.polyalg import ZERO, S
-from agverify.polymatrix import hstack, row_echelon, vstack
+from agverify.polyalg import ZERO, S, _poly
+from agverify.polymatrix import SelfCheckError, hstack, row_echelon, vstack
 
 # ---------------------------------------------------------------------------
 # Exact linear algebra over plain Fractions
@@ -212,9 +214,8 @@ def gcd_reference(a: Poly, b: Poly) -> Poly:
 def statespace_to_kernel_reference(s: StateSpace) -> KernelRep:
     """The external (u, y) behavior of a state-space system by eliminating
     the state from [sI - A; C] x = [B 0; -D I] (u, y) with
-    `eliminate_latent_reference`, the construction
-    `behavior.statespace_to_kernel` used before it read the observability
-    indices."""
+    `eliminate_latent_reference`, the construction the package used before
+    it read the observability indices."""
     n, p = s.n, s.p
     manifest = vstack(
         hstack(s.B, PolyMatrix.zeros(n, p)),
@@ -222,6 +223,64 @@ def statespace_to_kernel_reference(s: StateSpace) -> KernelRep:
     )
     latent = vstack(PolyMatrix.identity(n) * S - s.A, s.C)
     return eliminate_latent_reference(LatentRep(manifest, latent, _io_labels(s.m, p)))
+
+
+def statespace_to_io_reference(s: StateSpace) -> IoSystem:
+    """`behavior.statespace_to_io` with the observability scan it had before
+    it used Bareiss's recurrence: each update is v := b_c v - v_c b, taken
+    only when v_c is nonzero, followed by division of the whole row by its
+    gcd. It neither reads nor keeps the converted form on ``s``."""
+    n, m, p = s.n, s.m, s.p
+    A, dA = _integer_rows(s.A)
+    B, dB = _integer_rows(s.B)
+    x, dC = _integer_rows(s.C)
+    D, dD = _integer_rows(s.D)
+    a_cols = [[row[j] for row in A] for j in range(n)]
+    b_cols = [[row[j] for row in B] for j in range(m)]
+    q = [[dB * dC * e for e in row] for row in D]
+    basis: list[tuple[int, list[int]]] = []
+    selected: list[tuple[int, int, list[int]]] = []
+    P_rows: list[list[Poly]] = [[] for _ in range(p)]
+    Q_rows: list[list[Poly]] = [[] for _ in range(p)]
+    active = list(range(p))
+    k = 0
+    while active:
+        still = []
+        for i in active:
+            v = x[i] + [0] * len(selected) + [1]
+            for c, b in basis:
+                e = v[c]
+                if e:
+                    f = b[c]
+                    v = [f * a - e * z for a, z in zip_longest(v, b, fillvalue=0)]
+                    g = gcd(*v)
+                    if g > 1:
+                        v = [a // g for a in v]
+            pivot = next((c for c in range(n) if v[c]), None)
+            if pivot is not None:
+                basis.append((pivot, v))
+                selected.append((i, k, q[i]))
+                still.append(i)
+                xi = x[i]
+                x[i] = [sum(map(mul, xi, col)) for col in a_cols]
+                q[i] = [dA * dD * sum(map(mul, xi, col)) for col in b_cols] + [dA * e for e in q[i]]
+                continue
+            pn = [[0] * (k + 1) for _ in range(p)]
+            qn = [0] * (m * (k + 1))
+            for w, (j, l, qj) in zip(v[n:], [*selected, (i, k, q[i])]):
+                if w:
+                    pn[j][l] += w * dB * dC * dD * dA**l
+                    for t, e in enumerate(qj):
+                        qn[t] += w * e
+            den = v[-1] * dB * dC * dD * dA**k
+            P_rows[i] = [_poly(e, den) for e in pn]
+            Q_rows[i] = [_poly(qn[c::m], den) for c in range(m)]
+        active = still
+        k += 1
+    sys = IoSystem(PolyMatrix(P_rows, cols=p), PolyMatrix(Q_rows, cols=m))
+    if not check_io_form(sys):
+        raise SelfCheckError("state elimination did not yield input-output form")
+    return sys
 
 
 def _primitive_polys(row: list[Poly]) -> list[Poly]:

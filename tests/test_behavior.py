@@ -22,7 +22,6 @@ from agverify.behavior import (
     interconnect,
     minimal_kernel,
     statespace_to_io,
-    statespace_to_kernel,
 )
 from agverify.docparse import parse_documents
 from agverify.polyalg import ONE, S, ZERO, Poly, _gcd
@@ -45,6 +44,7 @@ from support import (
     random_matrix,
     random_statespace,
     random_unimodular,
+    statespace_to_io_reference,
     statespace_to_kernel_reference,
     transfer_identity_holds,
 )
@@ -427,7 +427,11 @@ class TestStateSpaceConversion:
     @settings(deadline=None, max_examples=150)
     @given(statespace_systems())
     def test_matches_elimination_reference(self, s):
-        k = statespace_to_kernel(s)
+        io, ref = statespace_to_io(s), statespace_to_io_reference(s)
+        # Bareiss's recurrence scales the scan's rows differently from the
+        # primitive rows of the reference, but P and Q are the same.
+        assert (io.P, io.Q) == (ref.P, ref.Q)
+        k = io.kernel()
         assert behavior_equal(k, statespace_to_kernel_reference(s)).holds
         assert k.R.rows == s.p
         P, Q = k.R.take_cols(range(s.m, s.m + s.p)), -k.R.take_cols(range(s.m))
@@ -446,6 +450,19 @@ class TestStateSpaceConversion:
         for _ in range(1, s.n):
             blocks.append(blocks[-1] * s.A)
         assert sum(nus) == fraction_rank([r for b in blocks for r in eval_matrix(b, 0)])
+
+    @pytest.mark.parametrize("n, p", [(12, 2), (20, 2), (30, 2), (12, 4), (20, 4), (30, 4)])
+    def test_large_systems_match_gcd_scan_reference(self, n, p):
+        rng = random.Random(n * 10 + p)
+
+        def grid(rows, cols):
+            return [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+
+        s = StateSpace.from_lists(grid(n, n), grid(n, 2), grid(p, n), grid(p, 2))
+        io, ref = statespace_to_io(s), statespace_to_io_reference(s)
+        assert (io.P, io.Q) == (ref.P, ref.Q)
+        # These systems are observable, so the scan selects n rows.
+        assert sum(row[i].degree for i, row in enumerate(io.P.entries)) == n
 
     def test_rational_scaling_pinned(self):
         # Denominators 2, 3, 5 and 7 in A, B, C and D, so each scale factor
@@ -475,7 +492,7 @@ class TestStateSpaceConversion:
         assert check_io_form(io)
 
     def test_kernel_and_io_agree(self):
-        k = statespace_to_kernel(QUARTER_CAR)
+        k = statespace_to_kernel_reference(QUARTER_CAR)
         io = statespace_to_io(QUARTER_CAR)
         assert behavior_equal(k, io.kernel()).holds
 
@@ -591,7 +608,6 @@ class TestConversionIsKept:
         calls = self.count_checks(monkeypatch)
         io = statespace_to_io(s)
         assert statespace_to_io(s) is io
-        assert statespace_to_kernel(s) == io.kernel()
         assert calls == [io]
 
     def test_equal_system_converts_by_itself(self, monkeypatch):

@@ -12,6 +12,7 @@ import agverify
 from agverify import behavior, cli, polymatrix
 from agverify.cli import main
 from agverify.docparse import (
+    MAX_COEFFICIENTS,
     MAX_DIGITS,
     MAX_DIMENSION,
     MAX_EXPONENT,
@@ -21,6 +22,7 @@ from agverify.docparse import (
 )
 from agverify.polyalg import ZERO, Poly
 from agverify.polymatrix import PolyMatrix
+from support import budget
 
 CORPUS = sorted(str(p) for p in agverify.corpus_dir().glob("*.ag"))
 
@@ -77,6 +79,24 @@ class TestExitCodes:
         code, out, err = run(capsys, "include", "K", "K", str(over))
         assert code == 2 and out == ""
         assert f"{over}:1:27: exponent {MAX_EXPONENT + 1} exceeds the maximum" in err
+
+    def test_coefficient_budget_is_two(self, capsys, tmp_path):
+        # Densely stored, s^1000 takes about 8 KB for 7 bytes of text.
+        power = f"s^{MAX_EXPONENT}"
+        row = "[" + ", ".join([power] * MAX_DIMENSION) + "]"
+        square = f"vars y:{MAX_DIMENSION} R [" + ", ".join([row] * MAX_DIMENSION) + "]"
+        texts = {
+            "row.ag": "kernel K { vars y:1 R [[" + ", ".join([power] * 40_000) + "]] }",
+            "three.ag": "\n".join(f"kernel K{j} {{ {square} }}" for j in range(3)),
+        }
+        for name, text in texts.items():
+            path = tmp_path / name
+            path.write_text(text)
+            with budget(1.0, f"{name}, {len(text) // 1000} KB of s^{MAX_EXPONENT}"):
+                code, out, err = run(capsys, "check-io", "K", str(path))
+            assert code == 2 and out == ""
+            assert f"coefficients in this text exceed the maximum {MAX_COEFFICIENTS}" in err
+        assert f"{tmp_path / 'three.ag'}:2:" in err
 
     def test_dimension_cap_is_two(self, capsys, tmp_path):
         at_cap = tmp_path / "at_cap.ag"

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from agverify.behavior import IoSystem, KernelRep, LatentRep, StateSpace
 from agverify.contracts import Contract
+from agverify import docparse
 from agverify.docparse import (
     MAX_DIGITS,
     MAX_DIMENSION,
@@ -171,6 +172,26 @@ class TestPolyParsing:
         assert f"integer of {MAX_DIGITS + 1} digits exceeds the maximum {MAX_DIGITS}" in str(
             exc.value
         )
+
+    def test_coefficient_budget_boundary(self, monkeypatch):
+        monkeypatch.setattr(docparse, "MAX_COEFFICIENTS", 10)
+        # 5 + 4 + 1 coefficients, counted densely, meet the budget.
+        assert parse_matrix_text("[[s^4, 2*s^3 - 1, 7]]").cols == 3
+        with pytest.raises(ParseError) as exc:
+            parse_matrix_text("[[s^4, 2*s^3 - 1, 7],\n [0, 1, 1]]")
+        assert ":2:3: polynomial coefficients in this text exceed the maximum 10" in str(exc.value)
+        # The count runs over the whole text, not one matrix or definition.
+        kernel = "kernel K{} {{ vars y:1 R [[s^2], [s^2]] }}\n"
+        assert len(parse_document(kernel.format(1)).definitions) == 1
+        with pytest.raises(ParseError) as exc:
+            parse_document(kernel.format(1) + kernel.format(2))
+        assert ":2:33: polynomial coefficients" in str(exc.value)
+
+    def test_coefficient_budget_admits_the_largest_matrix(self):
+        row = "[" + ", ".join([f"s^{MAX_EXPONENT}"] * MAX_DIMENSION) + "]"
+        with budget(1.0, "a kernel of the largest shape and degree"):
+            R = parse_matrix_text("[" + ", ".join([row] * MAX_DIMENSION) + "]")
+        assert (R.rows, R.cols, R.degree) == (MAX_DIMENSION, MAX_DIMENSION, MAX_EXPONENT)
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
