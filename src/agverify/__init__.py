@@ -49,10 +49,8 @@ from .polymatrix import (
     DimensionError,
     PolyMatrix,
     SelfCheckError,
-    SingularMatrixError,
     SmithDecomposition,
     hstack,
-    is_proper,
     row_echelon,
     smith_form,
     vstack,

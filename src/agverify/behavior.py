@@ -29,8 +29,9 @@ Cramer's rule in one fraction-free (Bareiss) pass
 combinations of its pivot rows, and reduces the source with `row_echelon`
 only when some dependent row is not. Every decision stays in Q[s]:
 `check_io_form` reads properness of P^-1 Q off the row degrees of P and Q
-when P is row reduced, and off the Cramer numerators otherwise, and no
-transfer matrix or other rational function is ever formed.
+when P is row reduced, and otherwise off the Cramer numerators of one
+fraction-free pass on [P | Q], and no transfer matrix or other rational
+function is ever formed.
 """
 
 from __future__ import annotations
@@ -47,11 +48,9 @@ from .polymatrix import (
     DimensionError,
     PolyMatrix,
     SelfCheckError,
-    SingularMatrixError,
     _fraction_free,
     _left_quotient,
     hstack,
-    is_proper,
     row_echelon,
     # No decision here uses it; perfbench/test_instances.py::
     # test_tracer_restores_every_original expects to find it in this module.
@@ -213,8 +212,9 @@ class StateSpace:
 class IoSystem:
     """System P(d/dt) y = Q(d/dt) u.
 
-    The pair is in input-output form when P is square and invertible and
-    P^-1 Q is proper; `check_io_form` decides this.
+    P must be square, with as many rows as Q. The pair is in input-output
+    form when P is invertible and P^-1 Q is proper, which `check_io_form`
+    decides.
     """
 
     P: PolyMatrix
@@ -476,10 +476,14 @@ def check_io_form(sys: IoSystem) -> bool:
     is row reduced: det P is nonzero, of degree sum nu_i, and P^-1 Q is
     proper iff every entry of row i of Q has degree at most nu_i (Kailath,
     *Linear Systems*, 1980, sec. 6.3). `statespace_to_io` builds P row
-    reduced, so its self-check takes this route. Otherwise `is_proper`
-    decides, comparing the degrees of the Cramer numerators of P^-1 Q with
-    deg det P. One fraction-free elimination decides either: of P_hr, or of
-    [P | Q]. Either way no rational function is formed.
+    reduced, so its self-check takes this route. Otherwise Cramer's rule
+    decides: entry (i, j) of P^-1 Q is det(P with column i replaced by
+    column j of Q) / det P, so it is proper iff that numerator has degree at
+    most deg det P. One fraction-free Gauss-Jordan pass (`_fraction_free`)
+    decides either route: on P_hr, or on [P | Q], whose pivots give the
+    rank of P, whose last pivot is +-det P and whose right block is
+    +-det(P) P^-1 Q, the numerators. Either way no rational function is
+    formed.
     """
     P = sys.P.entries
     nu = [max(e.degree for e in row) for row in P]
@@ -488,10 +492,8 @@ def check_io_form(sys: IoSystem) -> bool:
               for row, d in zip(P, nu)]
         if len(_fraction_free(hr, len(P))[0]) == len(P):
             return all(e.degree <= d for row, d in zip(sys.Q.entries, nu) for e in row)
-    try:
-        return is_proper(sys.P, sys.Q)
-    except SingularMatrixError:
-        return False
+    pivots, _, det, right, _ = _fraction_free([p + q for p, q in zip(P, sys.Q.entries)], len(P))
+    return len(pivots) == len(P) and all(e.degree <= det.degree for row in right for e in row)
 
 
 def behavior_included(r1: KernelRep, r2: KernelRep, label: str = "inclusion") -> Verdict:

@@ -29,16 +29,16 @@ The exponent after "^" is at most `MAX_EXPONENT`, an integer has at most
 the dimensions of a varlist add up to at most `MAX_DIMENSION`. The matrix A
 of a statespace, the matrix P of an iosystem, the matrix R of a kernel and
 the matrices R and E of a latent have at most `MAX_DIMENSION` rows, the
-inputs and outputs of a statespace or an iosystem add up to at most
-`MAX_DIMENSION`, and a bare matrix literal (`parse_matrix_text`) has at most
-`MAX_DIMENSION` rows and columns. A matrix with too many rows is refused as
-soon as its next row starts: the rows after it are counted, not parsed. The
-other matrices stop being parsed one row past what their shapes allow: B
-past the rows of A, Q past the rows of P, D past the rows of C, and C past
-`MAX_DIMENSION`. Their rows after that are counted, and the definition is
-refused with the message that the whole matrix would have given. Of the
-errors in them, only a token that has no place in a matrix literal, such as
-"}", is reported, as a whole parse would.
+inputs and outputs of a statespace or an iosystem add up to at least 1 and
+at most `MAX_DIMENSION`, and a bare matrix literal (`parse_matrix_text`)
+has at most `MAX_DIMENSION` rows and columns. A matrix with too many rows is
+refused as soon as its next row starts: the rows after it are counted, not
+parsed. The other matrices stop being parsed one row past what their shapes
+allow: B past the rows of A, Q past the rows of P, D past the rows of C, and
+C past `MAX_DIMENSION`. Their rows after that are counted, and the
+definition is refused with the message that the whole matrix would have
+given. Of the errors in them, only a token that has no place in a matrix
+literal, such as "}", is reported, as a whole parse would.
 
 In a statespace a matrix written ``[]`` is empty and takes the shape the
 others imply (`StateSpace.from_lists`), so ``A [] B [] C [] D [[2, 1]]`` is
@@ -260,6 +260,13 @@ class _Parser:
         if size > MAX_DIMENSION:
             raise self.error(f"{what} {size} is above the maximum {MAX_DIMENSION}", i)
 
+    def system_signals(self, size: int, i: int) -> None:
+        """A system's inputs plus outputs, which `eliminate` prints as one
+        vars list: at least one, like every vars list, and at most the cap."""
+        if not size:
+            raise self.error("inputs plus outputs 0 is below the minimum 1", i)
+        self.cap("inputs plus outputs", size, i)
+
     # -- polynomial / matrix ------------------------------------------------
 
     def parse_poly(self) -> Poly:
@@ -326,7 +333,9 @@ class _Parser:
         ``limit`` rows is refused at token ``at`` as soon as its next row
         starts. Without one, it keeps its first ``limit + 1`` rows, which
         compare with ``limit`` as all of them do. Either way the rows left
-        are counted by bracket depth (`skip_rows`), not parsed."""
+        are counted by bracket depth (`skip_rows`), not parsed, once the
+        next of them opens with "["; any other token there is an error, as
+        after every row."""
         toks = self.tokens
         self.expect("[")
         rows: list[list[Poly]] = []
@@ -348,7 +357,9 @@ class _Parser:
                 self.total = len(rows)
                 return rows
             self.pos += 1
-            if len(rows) == keep and (skipped := self.skip_rows(not cap)) is not None:
+            if len(rows) != keep or toks[self.pos] != "[":
+                continue
+            if (skipped := self.skip_rows(not cap)) is not None:
                 self.total = len(rows) + skipped
                 if cap:
                     self.cap(cap, self.total, at)
@@ -464,7 +475,7 @@ class _Parser:
         if D.rows == C.rows and self.total != p:  # C was cut, and D has another row count
             D = PolyMatrix(D.entries[:-1])
         s = StateSpace.from_lists(A, B, C, D)
-        self.cap("inputs plus outputs", s.m + (p or self.total), i)
+        self.system_signals(s.m + (p or self.total), i)
         return s
 
     def parse_iosystem_body(self) -> IoSystem:
@@ -473,7 +484,7 @@ class _Parser:
         Q = self.field_matrix("Q", limit=P.rows)
         # Written ``[]``, Q has P's rows and no columns: a system without inputs.
         system = IoSystem(P, Q if Q.rows else PolyMatrix([()] * P.rows, cols=0))
-        self.cap("inputs plus outputs", system.m + system.p, i)
+        self.system_signals(system.m + system.p, i)
         return system
 
     def parse_kernel_body(self) -> KernelRep:

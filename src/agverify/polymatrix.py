@@ -3,24 +3,25 @@
 Everything is exact, and no rational function is ever formed. A product
 computes each entry as one integer convolution over a running common
 denominator, and builds one `Poly` per entry. Two eliminations do all the
-work in Q[s]. A fraction-free (Bareiss) elimination backs the properness
-tests, latent elimination by Cramer's rule and the Cramer solve
-(`_left_quotient`) of `behavior.behavior_included` and `smith_form`, so none
-of them leaves the polynomial ring. It runs on Python integers: each row is
-scaled to integer coefficients and each entry replaced by its value at a
-power of two large enough to read the polynomial back (Kronecker
-substitution), so an update is one big-integer expression and builds no
-`Poly`. `row_echelon` is the reduction behind minimization and latent
-elimination: unimodular row operations over the Euclidean domain Q[s],
-carrying along whatever columns sit to the right, so reducing [R | I] yields
-the left transform with the echelon form. It runs on integer coefficient
-lists as well: each row is scaled to integer coefficients, each update is one
-pseudo-division followed by division by the row's content, and `Poly` entries
-are built only when a row is written back.
+work in Q[s]. A fraction-free (Bareiss) elimination, `_fraction_free`, backs
+what `behavior` decides by Cramer's rule (the properness of an input-output
+form, latent elimination and inclusion, the last through the Cramer solve
+`_left_quotient`) and the inverses of the Smith transforms, so none of them
+leaves the polynomial ring. It runs on Python integers: each row is scaled
+to integer coefficients and each entry replaced by its value at a power of
+two large enough to read the polynomial back (Kronecker substitution), so
+an update is one big-integer expression and builds no `Poly`. `row_echelon`
+is the reduction behind minimization and latent elimination: unimodular row
+operations over the Euclidean domain Q[s], carrying along whatever columns
+sit to the right, so reducing [R | I] yields the left transform with the
+echelon form. It runs on integer coefficient lists as well: each row is
+scaled to integer coefficients, each update is one pseudo-division followed
+by division by the row's content, and `Poly` entries are built only when a
+row is written back.
 `smith_form`, which backs the ``smith`` command, is built from the two: it
 alternates `row_echelon` on the rows and on the columns until the matrix is
-diagonal, and takes the inverses of the accumulated unimodular transforms
-from the Cramer solve.
+diagonal, and inverts each accumulated unimodular transform W with one
+fraction-free pass on [W | I].
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ from .polyalg import ONE, ZERO, Poly, _as_poly, _poly, _pseudo_divmod
 
 class DimensionError(ValueError):
     """Matrix shapes are incompatible for the requested operation."""
-
-
-class SingularMatrixError(ValueError):
-    """A square matrix required to be invertible has zero determinant."""
 
 
 class SelfCheckError(RuntimeError):
@@ -202,12 +199,6 @@ class PolyMatrix:
             return self * other
         return NotImplemented
 
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
     # -- value protocol ----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -368,12 +359,9 @@ def _left_quotient(src: Sequence[Sequence[Poly]], target: PolyMatrix) -> PolyMat
     combination of src_J. When d divides the coefficients of every row of
     D, src and src_J have the same row module, so M exists iff the unique
     multiplier of src_J is polynomial, that is iff d divides every
-    numerator; M then has a zero column for each row of D. A nonzero
-    constant d, as for the unimodular sources of the Smith transforms,
-    divides every numerator, and each quotient is one scalar division.
-    Returns the reason when no polynomial M exists, and None when a row of
-    D is no polynomial combination of src_J, which leaves the question
-    open.
+    numerator; M then has a zero column for each row of D. Returns the
+    reason when no polynomial M exists, and None when a row of D is no
+    polynomial combination of src_J, which leaves the question open.
     """
     r, n = len(src), target.cols
     g = [[row[j] for row in src] + [row[j] for row in target.entries] for j in range(n)]
@@ -387,15 +375,9 @@ def _left_quotient(src: Sequence[Sequence[Poly]], target: PolyMatrix) -> PolyMat
                     f"no polynomial multiplier exists: row {k} is not a rational combination of "
                     f"the source rows in source column {j} (bordered minor {e})"
                 )
-    M = [[ZERO] * r for _ in range(target.rows)]
-    if d.is_constant:
-        lc = d.lc
-        for k, out in enumerate(M):
-            for i, c in enumerate(pivots):
-                out[c] = right[i][dropped + k] / lc
-        return PolyMatrix(M, cols=r)
     if not all(d.divides(e) for row in right[:rank] for e in row[:dropped]):
         return None
+    M = [[ZERO] * r for _ in range(target.rows)]
     for k, out in enumerate(M):
         for i, c in enumerate(pivots):
             e = right[i][dropped + k]
@@ -407,6 +389,26 @@ def _left_quotient(src: Sequence[Sequence[Poly]], target: PolyMatrix) -> PolyMat
                 )
             out[c] = quot
     return PolyMatrix(M, cols=r)
+
+
+def _unimodular_inverse(W: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
+    """The rows of W^-1 for a unimodular W, from one fraction-free pass on [W | I].
+
+    The Gauss-Jordan pass ends with d I on the left and d W^-1 on the right,
+    for d = +-det W, so W^-1 is polynomial iff the rank is full and d is a
+    constant; each entry is then one scalar division. Raises
+    `SelfCheckError` otherwise, since the transforms of `smith_form` are
+    unimodular by construction.
+    """
+    n = len(W)
+    a = [list(row) + list(e) for row, e in zip(W, PolyMatrix.identity(n).entries)]
+    pivots, _, d, right, _ = _fraction_free(a, n)
+    if len(pivots) < n or not d.is_constant:
+        raise SelfCheckError(
+            f"Smith transform has no polynomial inverse: rank {len(pivots)} of {n}, last pivot {d}"
+        )
+    lc = d.lc
+    return [[e / lc for e in row] for row in right]
 
 
 def _mul_sub(m: int, x: list[int], q: list[int], y: list[int]) -> list[int]:
@@ -578,11 +580,11 @@ def smith_form(R: PolyMatrix) -> SmithDecomposition:
     d_i by gcd(d_i, d_(i+1)) while d_1 .. d_(i-1) stay. Every repair thus
     lowers the degree of a pivot without touching the ones before it, so the
     loop ends. The diagonal is unique; the transforms are not. U and V are
-    the inverses of the unimodular U_inv and V_inv, each from one Cramer
-    solve (`_left_quotient`): U^T * U_inv^T = I and V * V_inv = I. The
-    solve's pass runs on [U_inv | I] and on [V_inv^T | I], whose rows are
-    echelon rows with one denominator each, so that scaling them to integers
-    adds few bits.
+    the inverses of the unimodular U_inv and V_inv, each from one
+    fraction-free pass (`_unimodular_inverse`): U from [U_inv | I], and V^T
+    from [V_inv^T | I]. The rows of both are echelon rows with one
+    denominator each, so scaling them to integers adds few bits, where the
+    rows of V_inv mix denominators and would make the pass much slower.
     """
     m, n = R.rows, R.cols
     a = [list(row) + list(e) for row, e in zip(R.entries, PolyMatrix.identity(m).entries)]
@@ -601,38 +603,11 @@ def smith_form(R: PolyMatrix) -> SmithDecomposition:
             break
         a[bad] = [x + y for x, y in zip(a[bad], a[bad + 1])]
 
-    U_inv, V_inv = [row[n:] for row in a], list(zip(*vt))
-    # U^T and V: the transforms are unimodular, so each solve is polynomial.
-    Ut, V = (_left_quotient(W, PolyMatrix.identity(len(W))) for W in (list(zip(*U_inv)), V_inv))
-    for X in (Ut, V):
-        if not isinstance(X, PolyMatrix):
-            raise SelfCheckError(f"Smith transform has no polynomial inverse: {X}")
+    U_inv = [row[n:] for row in a]
     return SmithDecomposition(
-        U=Ut.transpose(),
-        V=V,
+        U=PolyMatrix(_unimodular_inverse(U_inv), cols=m),
+        V=PolyMatrix(list(zip(*_unimodular_inverse(vt))), cols=n),
         invariant_factors=tuple(factors),
         U_inv=PolyMatrix(U_inv, cols=m),
-        V_inv=PolyMatrix(V_inv, cols=n),
+        V_inv=PolyMatrix(list(zip(*vt)), cols=n),
     )
-
-
-def is_proper(P: PolyMatrix, Q: PolyMatrix) -> bool:
-    """True iff every entry of P^-1 Q is a proper rational function.
-
-    By Cramer's rule entry (i, j) of P^-1 Q is det(P with column i replaced
-    by column j of Q) / det P, so it is proper iff that numerator has degree
-    at most deg det P. One fraction-free Gauss-Jordan pass on [P | Q] yields
-    det P as its last pivot and every numerator in the right block, without
-    leaving Q[s]. Raises `SingularMatrixError` when det P = 0 and
-    `DimensionError` when P is not square or the row counts differ.
-    """
-    if P.rows != Q.rows:
-        raise DimensionError("P and Q must have the same number of rows")
-    if not P.is_square:
-        raise DimensionError(f"properness of P^-1 Q needs a square P, got {P.shape_str()}")
-    n = P.rows
-    a = [p + q for p, q in zip(P.entries, Q.entries)]
-    pivots, _, det, right, _ = _fraction_free(a, n)
-    if len(pivots) < n:
-        raise SingularMatrixError("matrix is not invertible (zero determinant)")
-    return all(e.degree <= det.degree for row in right for e in row)

@@ -90,6 +90,22 @@ def det_cofactor(M: PolyMatrix) -> Poly:
     return total
 
 
+def proper_by_cofactors(P: PolyMatrix, Q: PolyMatrix) -> bool:
+    """Whether det P is nonzero and P^-1 Q proper, by Cramer's rule: entry
+    (i, j) is det(P with column i replaced by column j of Q) / det P, with
+    both determinants by cofactor expansion."""
+    det = det_cofactor(P)
+    if det.is_zero:
+        return False
+    n = P.rows
+    numerators = (
+        det_cofactor(PolyMatrix([[Q[r, j] if c == i else P[r, c] for c in range(n)]
+                                 for r in range(n)], cols=n))
+        for i in range(n) for j in range(Q.cols)
+    )
+    return all(e.degree <= det.degree for e in numerators)
+
+
 def is_unimodular(M: PolyMatrix) -> bool:
     """Whether det M, by cofactor expansion, is a nonzero constant."""
     d = det_cofactor(M)

@@ -28,9 +28,8 @@ from agverify.polyalg import ONE, S, ZERO, Poly, _gcd
 from agverify.polymatrix import (
     PolyMatrix,
     SelfCheckError,
-    SingularMatrixError,
+    _fraction_free,
     hstack,
-    is_proper,
     row_echelon,
     vstack,
 )
@@ -40,6 +39,7 @@ from support import (
     evaluation_rank,
     fraction_rank,
     inclusion_by_linear_solve,
+    proper_by_cofactors,
     random_full_row_rank,
     random_matrix,
     random_statespace,
@@ -435,7 +435,7 @@ class TestStateSpaceConversion:
         assert behavior_equal(k, statespace_to_kernel_reference(s)).holds
         assert k.R.rows == s.p
         P, Q = k.R.take_cols(range(s.m, s.m + s.p)), -k.R.take_cols(range(s.m))
-        assert is_proper(P, Q)
+        assert proper_by_cofactors(P, Q)
         # The normal form: P_ii monic of degree nu_i, P_ij of degree at most
         # nu_i before the diagonal and below it after, Q_i of degree at most
         # nu_i, so P's leading row-coefficient matrix is unit lower-triangular.
@@ -559,23 +559,24 @@ class TestCheckIoForm:
     @settings(deadline=None, max_examples=150)
     @given(io_form_instances())
     def test_matches_cramer_numerators(self, sys):
-        try:
-            expected = is_proper(sys.P, sys.Q)
-        except SingularMatrixError:
-            expected = False
-        assert check_io_form(sys) == expected
+        assert check_io_form(sys) == proper_by_cofactors(sys.P, sys.Q)
 
     def test_row_reduced_needs_no_elimination(self, monkeypatch):
         # Row degrees 2 and 1, P_hr = [[1, 1], [0, 2]]: proper iff Q's rows
-        # have degree at most 2 and 1.
-        def eliminated(*args):
-            raise AssertionError("is_proper ran")
+        # have degree at most 2 and 1. The only pass is the one on P_hr, a
+        # square grid; the Cramer route would pass Q's columns as well.
+        widths = []
 
-        monkeypatch.setattr(behavior, "is_proper", eliminated)
+        def recorded(grid, ncols):
+            widths.append((len(grid), len(grid[0])))
+            return _fraction_free(grid, ncols)
+
+        monkeypatch.setattr(behavior, "_fraction_free", recorded)
         P = PolyMatrix([[S**2 + 1, S**2], [ONE, 2 * S]])
         assert check_io_form(IoSystem(P, PolyMatrix([[S**2, ONE], [S, 3]])))
         assert not check_io_form(IoSystem(P, PolyMatrix([[S**2, ONE], [S**2, 3]])))
         assert check_io_form(io_of(QUARTER_CAR))
+        assert widths and all(rows == cols for rows, cols in widths)
 
     def test_falls_back_when_not_row_reduced(self):
         # det P = -1, but P_hr = [[0, 1], [0, 1]] is singular, so the row

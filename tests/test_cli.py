@@ -20,7 +20,7 @@ from agverify.docparse import (
     parse_documents,
     parse_matrix_text,
 )
-from agverify.polyalg import ZERO, Poly
+from agverify.polyalg import S, ZERO, Poly
 from agverify.polymatrix import PolyMatrix
 from support import budget
 
@@ -191,6 +191,19 @@ class TestExitCodes:
             f"{MAX_DIMENSION}\n"
         )
 
+    @pytest.mark.parametrize(
+        "text, col",
+        [("statespace Z { A [[0]] B [] C [] D [] }", 16), ("iosystem Z { P [] Q [] }", 14)],
+        ids=["statespace", "iosystem"],
+    )
+    def test_system_without_signals_is_two(self, capsys, tmp_path, text, col):
+        # Its kernel would print as `vars ` and `R []`, which does not read back.
+        f = tmp_path / "z.ag"
+        f.write_text(text)
+        code, out, err = run(capsys, "eliminate", "Z", str(f))
+        assert code == 2 and out == ""
+        assert err == f"error: {f}:1:{col}: inputs plus outputs 0 is below the minimum 1\n"
+
     def test_parse_error_is_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.ag"
         bad.write_text("kernel K { vars y:1 R [[s^2+, 1]] }")
@@ -298,12 +311,18 @@ class TestExitCodes:
         assert err == "internal error: invalid witness: multiplier * source != target\n"
 
     def test_smith_transform_without_inverse_is_three(self, capsys, monkeypatch):
-        # The Cramer solve that inverts a Smith transform finds no inverse.
-        monkeypatch.setattr(polymatrix, "_left_quotient", lambda src, target: "no inverse")
+        # The pass that inverts a Smith transform gets one that is not
+        # unimodular: its first row times s.
+        invert = polymatrix._unimodular_inverse
+        monkeypatch.setattr(
+            polymatrix, "_unimodular_inverse", lambda W: invert([[S * e for e in W[0]], *W[1:]])
+        )
         code, out, err = run(capsys, "smith", "A0", *CORPUS)
         assert code == 3
         assert out == ""
-        assert err == "internal error: Smith transform has no polynomial inverse: no inverse\n"
+        assert err == (
+            "internal error: Smith transform has no polynomial inverse: rank 2 of 2, last pivot s\n"
+        )
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"

@@ -340,6 +340,29 @@ class TestDefinitions:
                 parse(text)
             assert message in str(exc.value)
 
+    @pytest.mark.parametrize("tail", [", x]", ", ]", ", 1 2]"])
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_document, "kernel K { vars y:1 R [{rows}{tail} }"),
+            (parse_document, "statespace S { A [{rows}{tail} B [] C [] D [] }"),
+            (parse_document, "iosystem IO { P [{rows}{tail} Q [] }"),
+            (parse_matrix_text, "[{rows}{tail}"),
+            (parse_document, "latent L { vars w:1 latent l:1 R [{rows}{tail} E [[1]] }"),
+            (parse_document, "latent L { vars w:1 latent l:1 R [[1]] E [{rows}{tail} }"),
+        ],
+        ids=["kernel", "statespace", "iosystem", "literal", "latent R", "latent E"],
+    )
+    def test_tail_after_a_full_capped_matrix(self, parse, text, tail):
+        # A row that does not open with "[" is refused after the last row
+        # the cap allows as after any other row.
+        for n in (MAX_DIMENSION - 1, MAX_DIMENSION):
+            source = text.replace("{rows}", ", ".join(["[s]"] * n)).replace("{tail}", tail)
+            with pytest.raises(ParseError) as exc:
+                parse(source)
+            col = source.index(tail) + 3
+            assert str(exc.value).endswith(f":1:{col}: expected '[', found '{tail[2]}'")
+
     @pytest.mark.parametrize(
         "parse, text, message",
         [

@@ -10,16 +10,15 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from agverify.behavior import IoSystem, check_io_form
 from agverify.polyalg import ONE, S, ZERO, Poly, RatFunc, poly_gcd
 from agverify.polymatrix import (
     DimensionError,
     PolyMatrix,
     SelfCheckError,
-    SingularMatrixError,
     _fraction_free,
-    _left_quotient,
+    _unimodular_inverse,
     hstack,
-    is_proper,
     row_echelon,
     smith_form,
     vstack,
@@ -32,6 +31,7 @@ from support import (
     fraction_rank,
     is_unimodular,
     matmul_reference,
+    proper_by_cofactors,
     random_matrix,
     random_unimodular,
     row_echelon_reference,
@@ -220,9 +220,6 @@ class TestArithmetic:
         with pytest.raises(AttributeError):
             M.rows = 2
 
-    def test_transpose(self):
-        assert PolyMatrix([[S, 1]]).transpose() == PolyMatrix([[S], [1]])
-
     def test_scalar_product(self):
         assert S * PolyMatrix.identity(2) == PolyMatrix.diag([S, S])
 
@@ -247,7 +244,7 @@ class TestArithmetic:
 
 
 def pass_det(M: PolyMatrix) -> Poly:
-    """det M from one `_fraction_free` pass, as `is_proper` reads it: the
+    """det M from one `_fraction_free` pass, as `check_io_form` reads it: the
     sign of the row permutation times the last pivot, zero without a full rank."""
     pivots, sign, last = _fraction_free(M.entries, M.cols)[:3]
     return sign * last if len(pivots) == M.rows else ZERO
@@ -405,13 +402,14 @@ class TestRowEchelon:
 
 class TestUnimodular:
     # A matrix is unimodular iff it has a polynomial inverse, which the
-    # Cramer solve of the Smith transforms finds.
+    # pass that inverts the Smith transforms finds.
     def test_shear(self):
         W = PolyMatrix([[1, S], [0, 1]])
-        assert _left_quotient(W.entries, PolyMatrix.identity(2)) * W == PolyMatrix.identity(2)
+        assert PolyMatrix(_unimodular_inverse(W.entries)) == PolyMatrix([[1, -S], [0, 1]])
 
     def test_scalar_s(self):
-        assert isinstance(_left_quotient(PolyMatrix([[S]]).entries, PolyMatrix.identity(1)), str)
+        with pytest.raises(SelfCheckError, match="rank 1 of 1, last pivot s"):
+            _unimodular_inverse(PolyMatrix([[S]]).entries)
 
     def test_smith_factors_are_unimodular(self):
         rng = random.Random(53)
@@ -515,42 +513,20 @@ class TestRatMatrix:
 
 
 class TestProper:
-    def test_integrator(self):
-        assert is_proper(PolyMatrix([[S]]), PolyMatrix([[ONE]]))
-
-    def test_differentiator(self):
-        assert not is_proper(PolyMatrix([[ONE]]), PolyMatrix([[S]]))
-
     def test_singular_p(self):
-        with pytest.raises(SingularMatrixError):
-            is_proper(PolyMatrix([[ZERO]]), PolyMatrix([[ONE]]))
+        # P_hr = [[1, 0], [1, 0]] is singular, so the Cramer route decides.
+        P = PolyMatrix([[S, ONE], [S**2, S]])
+        assert not check_io_form(IoSystem(P, PolyMatrix([[ONE], [ONE]])))
 
     def test_non_square_p(self):
-        with pytest.raises(DimensionError, match="needs a square P, got 1x2"):
-            is_proper(PolyMatrix([[S, ONE]]), PolyMatrix([[ONE]]))
-
-    @staticmethod
-    def check_against_inversion(P, Q):
-        # Cramer's rule: entry (i, j) of P^-1 Q is det(P with column i
-        # replaced by column j of Q) / det P; both determinants by cofactors.
-        det = det_cofactor(P)
-        if det.is_zero:
-            with pytest.raises(SingularMatrixError):
-                is_proper(P, Q)
-            return
-        n = P.rows
-        numerators = (
-            det_cofactor(PolyMatrix([[Q[r, j] if c == i else P[r, c] for c in range(n)]
-                                     for r in range(n)], cols=n))
-            for i in range(n) for j in range(Q.cols)
-        )
-        assert is_proper(P, Q) == all(e.degree <= det.degree for e in numerators)
+        with pytest.raises(DimensionError, match="output-side matrix must be square"):
+            IoSystem(PolyMatrix([[S, ONE]]), PolyMatrix([[ONE]]))
 
     @settings(deadline=None)
     @given(proper_instances())
     @example((PolyMatrix([], cols=0), PolyMatrix([], cols=2)))
     def test_matches_inversion_oracle(self, instance):
-        self.check_against_inversion(*instance)
+        assert check_io_form(IoSystem(*instance)) == proper_by_cofactors(*instance)
 
     @settings(deadline=None)
     @given(proper_instances(rationals(4)))
@@ -558,7 +534,7 @@ class TestProper:
         # statespace_to_io makes the diagonal of P monic and carries rational
         # alphas and Markov terms elsewhere, so most properness tests on a
         # state-space system see denominators.
-        self.check_against_inversion(*instance)
+        assert check_io_form(IoSystem(*instance)) == proper_by_cofactors(*instance)
 
     def test_hstack_shapes(self):
         h = hstack(PolyMatrix.identity(2), PolyMatrix.zeros(2, 1))
