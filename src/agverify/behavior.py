@@ -20,7 +20,7 @@ elimination, from its observability indices (Polderman & Willems,
 Systems*, 1980, sec. 6.4): one integer scan of relation rows, each a
 derivative of one output as a state part and an input part, reduces the
 state parts by Bareiss's fraction-free recurrence, whose divisions are exact
-as in `polymatrix._fraction_free`, and the first dependence of each output
+as in `polymatrix._packed_pass`, and the first dependence of each output
 sums the input parts of the rows it involves into one row of P y = Q u, with
 one row per output and P row reduced. A `StateSpace` keeps the checked form,
 so each object is converted at most once. Inclusion solves the multiplier by
@@ -397,7 +397,7 @@ def statespace_to_io(s: StateSpace) -> IoSystem:
     prev := b_c. Each basis row was reduced so when it was selected. After
     j steps each entry of v is the minor, on the first j pivot columns and
     the entry's own column, of the first j selected rows and v as first
-    written, so each division is exact, as in `polymatrix._fraction_free`,
+    written, so each division is exact, as in `polymatrix._packed_pass`,
     and no row gcd is taken. When the state part vanishes, the tag holds
     weights w over the selected candidates and (i, nu_i) whose relation
     rows sum to one without a state part: row i of [P | Q] is the sum of
@@ -479,10 +479,10 @@ def check_io_form(sys: IoSystem) -> bool:
     reduced, so its self-check takes this route. Otherwise Cramer's rule
     decides: entry (i, j) of P^-1 Q is det(P with column i replaced by
     column j of Q) / det P, so it is proper iff that numerator has degree at
-    most deg det P. One fraction-free Gauss-Jordan pass (`_fraction_free`)
-    decides either route: on P_hr, or on [P | Q], whose pivots give the
-    rank of P, whose last pivot is +-det P and whose right block is
-    +-det(P) P^-1 Q, the numerators. Either way no rational function is
+    most deg det P. One fraction-free pass (`_fraction_free`) decides either
+    route: on P_hr, or on [P | Q], whose pivots give the rank of P, whose
+    last pivot is +-det P and whose right block is +-det(P) P^-1 Q, the
+    numerators, from forward steps and back substitution. Either way no rational function is
     formed.
     """
     P = sys.P.entries

@@ -30,15 +30,19 @@ the dimensions of a varlist add up to at most `MAX_DIMENSION`. The matrix A
 of a statespace, the matrix P of an iosystem, the matrix R of a kernel and
 the matrices R and E of a latent have at most `MAX_DIMENSION` rows, the
 inputs and outputs of a statespace or an iosystem add up to at least 1 and
-at most `MAX_DIMENSION`, and a bare matrix literal (`parse_matrix_text`)
-has at most `MAX_DIMENSION` rows and columns. A matrix with too many rows is
-refused as soon as its next row starts: the rows after it are counted, not
-parsed. The other matrices stop being parsed one row past what their shapes
-allow: B past the rows of A, Q past the rows of P, D past the rows of C, and
-C past `MAX_DIMENSION`. Their rows after that are counted, and the
-definition is refused with the message that the whole matrix would have
-given. Of the errors in them, only a token that has no place in a matrix
-literal, such as "}", is reported, as a whole parse would.
+at most `MAX_DIMENSION`, a bare matrix literal (`parse_matrix_text`) has at
+most `MAX_DIMENSION` rows, every row of a matrix has at most
+`MAX_DIMENSION` entries, and the dimension of a latent's signal is at most
+`MAX_DIMENSION`. A row with too many entries is refused as soon as its
+entry past the cap is read, at the matrix's keyword (A and P are square, so
+theirs reads as the state dimension or the output count). A matrix with too
+many rows is refused as soon as its next row starts: the rows after it are
+counted, not parsed. The other matrices stop being parsed one row past
+what their shapes allow: B past the rows of A, Q past the rows of P, D past
+the rows of C, and C past `MAX_DIMENSION`. Their rows after that are
+counted, and the definition is refused with the message that the whole
+matrix would have given. Of the errors in them, only a token that has no
+place in a matrix literal, such as "}", is reported, as a whole parse would.
 
 In a statespace a matrix written ``[]`` is empty and takes the shape the
 others imply (`StateSpace.from_lists`), so ``A [] B [] C [] D [[2, 1]]`` is
@@ -326,16 +330,21 @@ class _Parser:
                 return Poly(coeffs) if rational else _poly(coeffs, 1)
             i += 1
 
-    def parse_matrix(self, cap: str = "", at: int = 0, limit: int = MAX_DIMENSION) -> list[list[Poly]]:
+    def parse_matrix(
+        self, cap: str = "", at: int = 0, limit: int = MAX_DIMENSION,
+        columns: str = "matrix column count",
+    ) -> list[list[Poly]]:
         """The rows of a matrix literal, with ``total`` set to their count.
 
-        With a ``cap``, the name of its row count, a matrix of more than
-        ``limit`` rows is refused at token ``at`` as soon as its next row
-        starts. Without one, it keeps its first ``limit + 1`` rows, which
-        compare with ``limit`` as all of them do. Either way the rows left
-        are counted by bracket depth (`skip_rows`), not parsed, once the
-        next of them opens with "["; any other token there is an error, as
-        after every row."""
+        A row is refused at token ``at`` as soon as its entry past
+        `MAX_DIMENSION` is read, naming the count ``columns``. With a
+        ``cap``, the name of its row count, a matrix of more than ``limit``
+        rows is refused at token ``at`` as soon as its next row starts.
+        Without one, it keeps its first ``limit + 1`` rows, which compare
+        with ``limit`` as all of them do. Either way the rows left are
+        counted by bracket depth (`skip_rows`), not parsed, once the next of
+        them opens with "["; any other token there is an error, as after
+        every row."""
         toks = self.tokens
         self.expect("[")
         rows: list[list[Poly]] = []
@@ -350,6 +359,8 @@ class _Parser:
             while toks[self.pos] == ",":
                 self.pos += 1
                 row.append(self.parse_poly())
+                if len(row) > MAX_DIMENSION:
+                    self.cap(columns, len(row), at)
             self.expect("]")
             rows.append(row)
             if toks[self.pos] != ",":
@@ -447,14 +458,16 @@ class _Parser:
         return Definition(kind, name, value, refs, self.source, line)
 
     def field_matrix(
-        self, keyword: str, cols: int | None = None, cap: str = "", limit: int = MAX_DIMENSION
+        self, keyword: str, cols: int | None = None, cap: str = "", limit: int = MAX_DIMENSION,
+        columns: str = "matrix column count",
     ) -> PolyMatrix:
         """The matrix after ``keyword``, as `parse_matrix` reads it; a ``cap``
-        names its row count in the error for more than ``limit`` rows, at the
+        names its row count in the error for more than ``limit`` rows, and
+        ``columns`` its column count in the error for a row too long, at the
         keyword."""
         self.expect(keyword)
         line = self.line(self.pos)
-        rows = self.parse_matrix(cap, self.pos - 1, limit)
+        rows = self.parse_matrix(cap, self.pos - 1, limit, columns)
         try:
             return PolyMatrix(rows, cols=cols if not rows else None)
         except ValueError as exc:
@@ -467,7 +480,7 @@ class _Parser:
         C to one past the cap, so `StateSpace` refuses them as it would the
         whole matrices; the cap reads the output count off the rows counted."""
         i = self.pos
-        A = self.field_matrix("A", cap="state dimension")
+        A = self.field_matrix("A", cap="state dimension", columns="state dimension")
         B = self.field_matrix("B", limit=A.rows)
         C = self.field_matrix("C")
         p = self.total
@@ -480,7 +493,7 @@ class _Parser:
 
     def parse_iosystem_body(self) -> IoSystem:
         i = self.pos
-        P = self.field_matrix("P", cap="output count")
+        P = self.field_matrix("P", cap="output count", columns="output count")
         Q = self.field_matrix("Q", limit=P.rows)
         # Written ``[]``, Q has P's rows and no columns: a system without inputs.
         system = IoSystem(P, Q if Q.rows else PolyMatrix([()] * P.rows, cols=0))
@@ -499,7 +512,9 @@ class _Parser:
         self.expect("latent")
         latent = self.name("a latent signal name")
         self.expect(":")
+        i = self.pos
         latent_dim = self.integer()
+        self.cap("latent dimension", latent_dim, i)
         R = self.field_matrix("R", cols=sum(d for _, d in labels), cap="latent row count")
         E = self.field_matrix("E", cols=latent_dim, cap="latent row count")
         if E.cols != latent_dim:
@@ -662,5 +677,4 @@ def parse_matrix_text(text: str, source: str = "<matrix>") -> PolyMatrix:
         raise parser.error(f"expected end of input, found {parser.shown(parser.pos)}")
     if not rows:
         raise parser.error("empty matrix literal has unknown column count", 0)
-    parser.cap("matrix column count", len(rows[0]), 0)
     return PolyMatrix(rows)

@@ -3,14 +3,19 @@
 Everything is exact, and no rational function is ever formed. A product
 computes each entry as one integer convolution over a running common
 denominator, and builds one `Poly` per entry. Two eliminations do all the
-work in Q[s]. A fraction-free (Bareiss) elimination, `_fraction_free`, backs
+work in Q[s]. A fraction-free (Bareiss) elimination, `_packed_pass`, backs
 what `behavior` decides by Cramer's rule (the properness of an input-output
 form, latent elimination and inclusion, the last through the Cramer solve
 `_left_quotient`) and the inverses of the Smith transforms, so none of them
 leaves the polynomial ring. It runs on Python integers: each row is scaled
 to integer coefficients and each entry replaced by its value at a power of
 two large enough to read the polynomial back (Kronecker substitution), so
-an update is one big-integer expression and builds no `Poly`. `row_echelon`
+an update is one big-integer expression and builds no `Poly`. Its forward
+steps update only the rows below each pivot, and fraction-free back
+substitution then gives the top rows their Gauss-Jordan entries, the
+Cramer numerators. `_fraction_free` reads the result back as `Poly`
+entries; `_left_quotient` divides the numerators by the pivot on the
+integers and reads back only the quotients. `row_echelon`
 is the reduction behind minimization and latent elimination: unimodular row
 operations over the Euclidean domain Q[s], carrying along whatever columns
 sit to the right, so reducing [R | I] yields the left transform with the
@@ -261,41 +266,54 @@ def _unpack(v: int, k: int, den: int) -> Poly:
     return _poly(num, den)
 
 
-def _fraction_free(
+def _packed_pass(
     grid: Sequence[Sequence[Poly]], ncols: int
-) -> tuple[list[int], int, Poly, list[list[Poly]], list[int]]:
-    """Fraction-free (Bareiss) Gauss-Jordan elimination of ``grid``, which it leaves as is.
+) -> tuple[list[int], int, int, list[list[int]], list[int], int, int, list[int]]:
+    """Fraction-free (Bareiss) elimination of ``grid``, which it leaves as is, on packed integers.
 
     Scans columns ``0..ncols-1``; each pivots on its first nonzero entry at or
-    below the current rank, and a column without one is skipped. Every other
-    row, above and below, becomes (pivot * row - entry * pivot_row) /
+    below the current rank, and a column without one is skipped. Every row
+    below the pivot row becomes (pivot * row - entry * pivot_row) /
     previous_pivot in every column without a pivot, the skipped ones
-    included. Each entry stays a minor of the input, so the division is
-    exact (Bareiss, Math. Comp. 22, 1968; Nakos, Turner & Williams, SIGSAM
-    Bull. 31, 1997, for the skipped columns and the Gauss-Jordan form). After
-    a full-rank pass on [P | Q] the last pivot is +-det P and the right block
+    included, and the rows above are left as they are. Each entry stays a
+    minor of the input, so the division is exact (Bareiss, Math. Comp. 22,
+    1968; Nakos, Turner & Williams, SIGSAM Bull. 31, 1997, for the skipped
+    columns). The rows below the rank then hold the minors that border the
+    pivot block with one more row and column.
+
+    The top rows are then brought to the Gauss-Jordan form by fraction-free
+    back substitution. Let p_i be the pivot of top row i, U_il its entry in
+    the pivot column of row l > i, b_i its entry in a column without a
+    pivot, and d the last pivot. From the last top row up,
+    y_i = (d * b_i - sum over l > i of U_il * y_l) / p_i, with y_i = b_i in
+    the last. Row i of the forward steps is p_(i-1) times row i of the
+    Gaussian elimination, so y_i is d times the coefficient of pivot column
+    i in that column; by Cramer's rule it is a minor of the input, and the
+    division is exact for the same reason as the forward steps. So after a
+    full-rank pass on [P | Q] the last pivot is +-det P and the right block
     +-det(P) P^-1 Q; a skipped column c holds, in the top rows, the last
     pivot times the coefficients of c on the pivot columns.
 
     The pass runs on integers. Row i is scaled by the lcm L_i of its
     denominators, and each entry is replaced by its value at s = 2^k
-    (Kronecker substitution). Every entry the pass holds is a minor of the
+    (Kronecker substitution). Every entry the pass keeps is a minor of the
     scaled grid, and the coefficient 1-norm of a minor is at most the
     product of the 1-norms of its rows, so at most B, the product over all
     rows of max(1, 1-norm). With k = bits(B) + 1 each coefficient fits in a
-    signed k-bit digit: an entry is zero iff its polynomial is, and the
-    digits give the polynomial back. Evaluation is a ring homomorphism, so
-    an exact division of polynomials is an exact division of integers; an
-    integer division that leaves a remainder raises `ArithmeticError`.
+    signed k-bit digit: an entry is zero iff its polynomial is, and
+    `_unpack` gives the polynomial back. Evaluation is a ring homomorphism,
+    so an exact division of polynomials is an exact division of integers;
+    an integer division that leaves a remainder raises `ArithmeticError`.
 
-    Returns ``(pivots, sign, pivot, right, order)``: the scanned columns that
-    got a pivot, whose count is the rank, the sign of the row permutation,
-    the last pivot (1 when the rank is 0), the columns without a pivot of
-    every row, the skipped scanned ones first and then those from ``ncols``
-    on, and the input row each row came from, all in the final row order.
-    The entries are those of the elimination on the unscaled grid: the
-    scaled pivot and top rows carry the factor S, the product of L_i over
-    the pivot rows, and the rows below carry S * L_i of their own row.
+    Returns ``(pivots, sign, pivot, right, order, k, s, dens)``: the scanned
+    columns that got a pivot, whose count is the rank, the sign of the row
+    permutation, the last pivot (1 when the rank is 0), the columns without
+    a pivot of every row, the skipped scanned ones first and then those from
+    ``ncols`` on, the input row each row came from, all in the final row
+    order, the digit size k, and the denominators that `_unpack` takes for
+    the pivot and for each row of ``right``. The scaled pivot and top rows
+    carry the factor s, the product of L_i over the pivot rows, and the rows
+    below carry s * L_i of their own row.
     """
     rows = len(grid)
     width = len(grid[0]) if grid else 0
@@ -325,30 +343,45 @@ def _fraction_free(
         live.remove(c)
         prow = a[rank]
         pivot = prow[c]
-        for i in range(rows):
-            if i == rank:
-                continue
-            row = a[i]
+        for row in a[rank + 1:]:
             f = row[c]
             for j in live:
                 q, r = divmod(row[j] * pivot - f * prow[j], prev)
                 if r:
                     raise ArithmeticError("inexact division in fraction-free elimination")
                 row[j] = q
-            row[c] = 0
         prev = pivot
         pivots.append(c)
     rank = len(pivots)
+    for i in range(rank - 2, -1, -1):
+        row = a[i]
+        p = row[pivots[i]]
+        terms = [(row[c], a[l]) for l, c in enumerate(pivots[i + 1:], i + 1) if row[c]]
+        for j in live:
+            q, r = divmod(prev * row[j] - sum([u * y[j] for u, y in terms]), p)
+            if r:
+                raise ArithmeticError("inexact division in fraction-free elimination")
+            row[j] = q
     s = prod(scales[i] for i in order[:rank])
-    factors = [s] * rank + [s * scales[i] for i in order[rank:]]
-    right = [[_unpack(row[j], k, d) for j in live] for row, d in zip(a, factors)]
-    return pivots, sign, _unpack(prev, k, s), right, order
+    dens = [s] * rank + [s * scales[i] for i in order[rank:]]
+    return pivots, sign, prev, [[row[j] for j in live] for row in a], order, k, s, dens
+
+
+def _fraction_free(
+    grid: Sequence[Sequence[Poly]], ncols: int
+) -> tuple[list[int], int, Poly, list[list[Poly]], list[int]]:
+    """`_packed_pass` with the pivot and the right block read back as `Poly`
+    entries: ``(pivots, sign, pivot, right, order)``, the entries those of
+    the elimination on the unscaled grid."""
+    pivots, sign, pivot, right, order, k, s, dens = _packed_pass(grid, ncols)
+    right = [[_unpack(v, k, d) for v in row] for row, d in zip(right, dens)]
+    return pivots, sign, _unpack(pivot, k, s), right, order
 
 
 def _left_quotient(src: Sequence[Sequence[Poly]], target: PolyMatrix) -> PolyMatrix | str | None:
     """A polynomial M with M * src = target, by Cramer's rule.
 
-    One fraction-free Gauss-Jordan pass on [src^T | target^T] scans the
+    One fraction-free pass (`_packed_pass`) on [src^T | target^T] scans the
     columns of src^T. Those that get a pivot are the pivot rows J of src,
     the first independent ones; the others are its dependent rows D. The
     pass pivots in the columns C of src, and its last pivot is
@@ -362,40 +395,74 @@ def _left_quotient(src: Sequence[Sequence[Poly]], target: PolyMatrix) -> PolyMat
     numerator; M then has a zero column for each row of D. Returns the
     reason when no polynomial M exists, and None when a row of D is no
     polynomial combination of src_J, which leaves the question open.
+
+    Everything is decided on the packed integers of the pass, and a `Poly`
+    is unpacked only for a quotient or a diagnostic. A bordered minor is
+    zero iff its integer is. A numerator y over d is divided as integers
+    first. Let D and Y be the packed d and y, with digit size k, and d~
+    and y~ the scaled integer polynomials they are the values of at 2^k,
+    d~ read with digit k from D alone (the reduced d can have smaller
+    coefficients, and would not bound the product). If D divides Y, let x
+    be the quotient read with digit k, so x(2^k) * D = Y. If moreover
+    ||x||_1 * ||d~||_inf < 2^(k-1), every coefficient of x * d~ lies in
+    (-2^(k-1), 2^(k-1)), and so does every coefficient of y~, a minor
+    inside the pass's bound. Two such polynomials with the same value at
+    2^k are equal, since their difference has coefficients in
+    (-2^k, 2^k) and vanishes at 2^k. So x * d~ = y~, and x = y / d is the
+    quotient. Otherwise y is unpacked and divided by d as polynomials: the
+    only route for a multiplier with rational coefficients, and the one
+    that words a remainder.
     """
     r, n = len(src), target.cols
     g = [[row[j] for row in src] + [row[j] for row in target.entries] for j in range(n)]
-    pivots, _, d, right, order = _fraction_free(g, r)
+    pivots, _, D, right, order, k, s, dens = _packed_pass(g, r)
     rank = len(pivots)
     dropped = r - rank
-    for row, j in zip(right[rank:], order[rank:]):
-        for k, e in enumerate(row[dropped:]):
-            if not e.is_zero:
+    for row, j, den in zip(right[rank:], order[rank:], dens[rank:]):
+        for t, v in enumerate(row[dropped:]):
+            if v:
                 return (
-                    f"no polynomial multiplier exists: row {k} is not a rational combination of "
-                    f"the source rows in source column {j} (bordered minor {e})"
+                    f"no polynomial multiplier exists: row {t} is not a rational combination of "
+                    f"the source rows in source column {j} (bordered minor {_unpack(v, k, den)})"
                 )
-    if not all(d.divides(e) for row in right[:rank] for e in row[:dropped]):
+    scaled = _unpack(D, k, 1).num
+    d = _poly(list(scaled), s)
+    d_max = max(map(abs, scaled))
+    half = 1 << (k - 1)
+
+    def quotient(v: int) -> Poly | None:
+        q, rem = divmod(v, D)
+        if not rem:
+            x = _unpack(q, k, 1)
+            if sum(map(abs, x.num)) * d_max < half:
+                return x
+        return None
+
+    if not all(quotient(v) is not None or d.divides(_unpack(v, k, s))
+               for row in right[:rank] for v in row[:dropped]):
         return None
     M = [[ZERO] * r for _ in range(target.rows)]
-    for k, out in enumerate(M):
+    for t, out in enumerate(M):
         for i, c in enumerate(pivots):
-            e = right[i][dropped + k]
-            quot, rem = divmod(e, d)
-            if not rem.is_zero:
-                return (
-                    f"multiplier is not polynomial: entry ({k}, {c}) requires dividing {e} by "
-                    f"the pivot {d} in source columns {sorted(order[:rank])}, remainder {rem}"
-                )
-            out[c] = quot
+            v = right[i][dropped + t]
+            x = quotient(v)
+            if x is None:
+                e = _unpack(v, k, s)
+                x, rem = divmod(e, d)
+                if not rem.is_zero:
+                    return (
+                        f"multiplier is not polynomial: entry ({t}, {c}) requires dividing {e} by "
+                        f"the pivot {d} in source columns {sorted(order[:rank])}, remainder {rem}"
+                    )
+            out[c] = x
     return PolyMatrix(M, cols=r)
 
 
 def _unimodular_inverse(W: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
     """The rows of W^-1 for a unimodular W, from one fraction-free pass on [W | I].
 
-    The Gauss-Jordan pass ends with d I on the left and d W^-1 on the right,
-    for d = +-det W, so W^-1 is polynomial iff the rank is full and d is a
+    The pass leaves d W^-1 in the top rows of the right block, for
+    d = +-det W, so W^-1 is polynomial iff the rank is full and d is a
     constant; each entry is then one scalar division. Raises
     `SelfCheckError` otherwise, since the transforms of `smith_form` are
     unimodular by construction.

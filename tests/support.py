@@ -25,7 +25,7 @@ from agverify import IoSystem, KernelRep, LatentRep, Poly, PolyMatrix, StateSpac
 from agverify.behavior import _integer_rows, _io_labels
 from agverify.docparse import ParseError
 from agverify.polyalg import ZERO, S, _poly
-from agverify.polymatrix import SelfCheckError, hstack, row_echelon, vstack
+from agverify.polymatrix import SelfCheckError, _fraction_free, hstack, row_echelon, vstack
 
 # ---------------------------------------------------------------------------
 # Exact linear algebra over plain Fractions
@@ -163,6 +163,38 @@ def bareiss_reference(grid: list[list[Poly]], ncols: int, jordan: bool = False):
         prev = pivot
     free = [j for j in range(width) if j not in pivots]
     return pivots, sign, prev, [[row[j] for j in free] for row in a], order
+
+
+def left_quotient_reference(src: list[list[Poly]], target: PolyMatrix) -> PolyMatrix | str | None:
+    """`polymatrix._left_quotient` on the pass read back as `Poly` entries
+    (`_fraction_free`): every bordered minor tested and every numerator
+    divided by the last pivot as polynomials, with `divmod`."""
+    r, n = len(src), target.cols
+    g = [[row[j] for row in src] + [row[j] for row in target.entries] for j in range(n)]
+    pivots, _, d, right, order = _fraction_free(g, r)
+    rank = len(pivots)
+    dropped = r - rank
+    for row, j in zip(right[rank:], order[rank:]):
+        for t, e in enumerate(row[dropped:]):
+            if not e.is_zero:
+                return (
+                    f"no polynomial multiplier exists: row {t} is not a rational combination of "
+                    f"the source rows in source column {j} (bordered minor {e})"
+                )
+    if not all(d.divides(e) for row in right[:rank] for e in row[:dropped]):
+        return None
+    M = [[ZERO] * r for _ in range(target.rows)]
+    for t, out in enumerate(M):
+        for i, c in enumerate(pivots):
+            e = right[i][dropped + t]
+            quot, rem = divmod(e, d)
+            if not rem.is_zero:
+                return (
+                    f"multiplier is not polynomial: entry ({t}, {c}) requires dividing {e} by "
+                    f"the pivot {d} in source columns {sorted(order[:rank])}, remainder {rem}"
+                )
+            out[c] = quot
+    return PolyMatrix(M, cols=r)
 
 
 def row_echelon_reference(grid: list[list[Poly]], ncols: int):

@@ -85,18 +85,21 @@ class TestExitCodes:
         power = f"s^{MAX_EXPONENT}"
         row = "[" + ", ".join([power] * MAX_DIMENSION) + "]"
         square = f"vars y:{MAX_DIMENSION} R [" + ", ".join([row] * MAX_DIMENSION) + "]"
+        # One row of them stops at its entry past the column cap, before the
+        # budget; three full kernels cross the budget in the third.
         texts = {
-            "row.ag": "kernel K { vars y:1 R [[" + ", ".join([power] * 40_000) + "]] }",
-            "three.ag": "\n".join(f"kernel K{j} {{ {square} }}" for j in range(3)),
+            "row.ag": ("kernel K { vars y:1 R [[" + ", ".join([power] * 40_000) + "]] }",
+                       f":1:21: matrix column count {MAX_DIMENSION + 1} is above the maximum"),
+            "three.ag": ("\n".join(f"kernel K{j} {{ {square} }}" for j in range(3)),
+                         f":2:28: polynomial coefficients in this text exceed the maximum {MAX_COEFFICIENTS}"),
         }
-        for name, text in texts.items():
+        for name, (text, message) in texts.items():
             path = tmp_path / name
             path.write_text(text)
             with budget(1.0, f"{name}, {len(text) // 1000} KB of s^{MAX_EXPONENT}"):
                 code, out, err = run(capsys, "check-io", "K", str(path))
             assert code == 2 and out == ""
-            assert f"coefficients in this text exceed the maximum {MAX_COEFFICIENTS}" in err
-        assert f"{tmp_path / 'three.ag'}:2:" in err
+            assert f"{path}{message}" in err
 
     def test_dimension_cap_is_two(self, capsys, tmp_path):
         at_cap = tmp_path / "at_cap.ag"

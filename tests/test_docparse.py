@@ -340,6 +340,52 @@ class TestDefinitions:
                 parse(text)
             assert message in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("kernel K { vars y:1 R [[s], {row}] }",
+             "<string>:1:21: matrix column count 101 is above the maximum 100"),
+            ("statespace S { A [{row}] B [] C [] D [] }",
+             "<string>:1:16: state dimension 101 is above the maximum 100"),
+            ("statespace S { A [[0]] B [{row}] C [[1]] D [[0]] }",
+             "<string>:1:24: matrix column count 101 is above the maximum 100"),
+            ("iosystem IO { P [{row}] Q [] }",
+             "<string>:1:15: output count 101 is above the maximum 100"),
+            ("latent L { vars w:1 latent l:1 R [[1]] E [{row}] }",
+             "<string>:1:40: matrix column count 101 is above the maximum 100"),
+        ],
+        ids=["kernel", "statespace A", "statespace B", "iosystem P", "latent E"],
+    )
+    def test_long_row_stops_at_the_column_cap(self, monkeypatch, text, message):
+        # The row is refused at its entry past the cap; the ones after it
+        # are lexed, not parsed. A and P are square, so their column count
+        # is the state dimension or the output count.
+        parsed = []
+        parse_poly = _Parser.parse_poly
+
+        def counted(parser):
+            parsed.append(parser.pos)
+            return parse_poly(parser)
+
+        monkeypatch.setattr(_Parser, "parse_poly", counted)
+        at_cap = text.replace("{row}", "[" + ", ".join(["1"] * MAX_DIMENSION) + "]")
+        with pytest.raises(DimensionInconsistencyError):
+            parse_document(at_cap)
+        parsed.clear()
+        with pytest.raises(ParseError) as exc:
+            parse_document(text.replace("{row}", "[" + ", ".join(["s + 1"] * 20000) + "]"))
+        assert str(exc.value) == message
+        assert len(parsed) <= MAX_DIMENSION + 2
+
+    def test_latent_dimension_cap(self):
+        row = "[" + ", ".join(["1"] * MAX_DIMENSION) + "]"
+        at_cap = f"latent L {{ vars w:1 latent l:{MAX_DIMENSION} R [[1]] E [{row}] }}"
+        assert parse_document(at_cap).get("L").value.latent_dim == MAX_DIMENSION
+        over = MAX_DIMENSION + 1
+        with pytest.raises(ParseError) as exc:
+            parse_document(f"latent L {{\n vars w:1 latent l:{over} R [[1]] E [] }}")
+        assert str(exc.value) == f"<string>:2:20: latent dimension {over} is above the maximum {MAX_DIMENSION}"
+
     @pytest.mark.parametrize("tail", [", x]", ", ]", ", 1 2]"])
     @pytest.mark.parametrize(
         "parse, text",

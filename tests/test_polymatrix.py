@@ -17,6 +17,7 @@ from agverify.polymatrix import (
     PolyMatrix,
     SelfCheckError,
     _fraction_free,
+    _left_quotient,
     _unimodular_inverse,
     hstack,
     row_echelon,
@@ -30,6 +31,7 @@ from support import (
     evaluation_rank,
     fraction_rank,
     is_unimodular,
+    left_quotient_reference,
     matmul_reference,
     proper_by_cofactors,
     random_matrix,
@@ -104,10 +106,26 @@ def wide_squares(draw):
 
 @st.composite
 def elimination_grids(draw):
-    """Grids up to 5 x 7 with up to 5 scanned columns and rational entries;
-    some have a row that is a multiple of another, a scanned column that is
-    a multiple of the one before it, or a zero first column, so the pass
-    loses rank, skips columns, also between two pivots, and permutes rows."""
+    """Grids that reach every step of the pass, with rational entries. Half
+    are up to 5 x 7 with up to 5 scanned columns, some with a row that is a
+    multiple of another, a scanned column that is a multiple of the one
+    before it, or a zero first column, so the pass loses rank, skips
+    columns, also between two pivots, and permutes rows. The others are
+    [W | I] with W up to 6 x 6, as `_unimodular_inverse` builds them, so
+    back substitution runs over up to 6 top rows; W has zero rows, and
+    columns that combine the ones before them, so the pivot columns have
+    skipped ones between them."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=6))
+        coeff = st.one_of(st.just(0), rationals(2**8))
+        W = [list(row) for row in draw(poly_matrices(n, n, 1, coeff)).entries]
+        for j in draw(st.sets(st.integers(min_value=1, max_value=n - 1), max_size=n // 2)) if n > 1 else ():
+            f, g = draw(poly_matrices(1, 2, 1, coeff)).entries[0]
+            for row in W:
+                row[j] = row[j - 1] * f + row[0] * g
+        for i in draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=2)):
+            W[i] = [ZERO] * n
+        return with_identity(PolyMatrix(W, cols=n))
     rows = draw(st.integers(min_value=0, max_value=5))
     ncols = draw(st.integers(min_value=0, max_value=5))
     width = ncols + draw(st.integers(min_value=0, max_value=2))
@@ -125,6 +143,49 @@ def elimination_grids(draw):
         for row in grid:
             row[0] = ZERO
     return grid, ncols
+
+
+@st.composite
+def quotient_instances(draw):
+    """(src, target) for `_left_quotient`. The source is r x n for r, n <= 4,
+    with integer or rational coefficients; some have a last row that is a
+    polynomial multiple of the first, which the solve drops, or that is
+    the first before it was multiplied by s + a, a rational combination
+    only. The target is M * src for a multiplier M with small integer,
+    rational or large integer coefficients, or is drawn at random. One
+    more kind has the source [[(s - c)^e]] and the target x * (s - c)^e,
+    x = ((s^N - c^N) / (s - c))^e, whose integer coefficients are large
+    enough against those of the pivot that the integer bound declines."""
+    kind = draw(st.sampled_from(("integer", "rational", "large", "random", "declining")))
+    if kind == "declining":
+        c = draw(st.sampled_from((-3, -2, 2, 3)))
+        e = draw(st.integers(min_value=2, max_value=3))
+        N = draw(st.integers(min_value=2, max_value=6))
+        x = Poly([c ** (N - 1 - i) for i in range(N)]) ** e
+        src = [[Poly([-c, 1]) ** e]]
+        return src, PolyMatrix([[x]]) * PolyMatrix(src)
+    r = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=4))
+    coeff = draw(st.sampled_from((st.integers(min_value=-4, max_value=4), rationals(4))))
+    src = [list(row) for row in draw(poly_matrices(r, n, 2, coeff)).entries]
+    if r > 1:
+        dependent = draw(st.sampled_from(("none", "polynomial", "rational")))
+        if dependent == "polynomial":
+            factor = draw(poly_matrices(1, 1, 1, coeff))[0, 0]
+            src[-1] = [e * factor for e in src[0]]
+        elif dependent == "rational":
+            a = draw(st.integers(min_value=-3, max_value=3))
+            src[-1] = src[0]
+            src[0] = [e * Poly([a, 1]) for e in src[0]]
+    t = draw(st.integers(min_value=1, max_value=3))
+    if kind == "random":
+        return src, draw(poly_matrices(t, n, 3, coeff))
+    multiplier = {
+        "integer": st.integers(min_value=-9, max_value=9),
+        "rational": rationals(9),
+        "large": st.integers(min_value=-2**70, max_value=2**70),
+    }[kind]
+    return src, draw(poly_matrices(t, r, 2, multiplier)) * PolyMatrix(src, cols=n)
 
 
 @st.composite
@@ -290,6 +351,20 @@ class TestFractionFree:
         # the rank included, equals that of the elimination on Poly entries.
         grid, ncols = instance
         assert _fraction_free(grid, ncols) == bareiss_reference(grid, ncols, True)
+
+
+class TestLeftQuotient:
+    @settings(deadline=None, max_examples=300)
+    @given(quotient_instances())
+    # Quotient 9 of 27 by the pivot 3 with digit 5 fits the reduced pivot 1,
+    # not the scaled one; the multiplier is (s - 5)/3.
+    @example(([[ONE]], PolyMatrix([[Poly([Fraction(-5, 3), Fraction(1, 3)])]])))
+    def test_matches_unpacked_reference(self, instance):
+        src, target = instance
+        got = _left_quotient(src, target)
+        assert got == left_quotient_reference(src, target)
+        if isinstance(got, PolyMatrix):
+            assert got * PolyMatrix(src, cols=target.cols) == target
 
 
 class TestRank:
